@@ -4,10 +4,10 @@
    harness (exp_*.ml) prints the actual paper-shaped tables; this suite
    measures the kernels' per-iteration cost.
 
-   The kernels/ group pits the CSR snapshot kernels (Graphcore.Csr) against
-   their hashtable reference implementations on the largest quick-grid
-   registry dataset, so `--json` runs leave a machine-readable perf trail
-   (BENCH_kernels.json) future changes can diff against. *)
+   The kernels/ group times the CSR snapshot kernels (Graphcore.Csr), the
+   warm-started g-sweep, raw Dinic and the service replay on the largest
+   quick-grid registry dataset, so `--json` runs leave a machine-readable
+   perf trail (BENCH_kernels.json) future changes can diff against. *)
 
 open Bechamel
 open Toolkit
@@ -111,7 +111,7 @@ let test_fig8 =
            let ctx = Maxtruss.Score.make_ctx g ~k in
            ignore (Maxtruss.Convert.convert ~ctx ~target:comp ())))
 
-(* --- CSR kernel layer vs. hashtable reference ----------------------------- *)
+(* --- CSR kernel layer ----------------------------------------------------- *)
 
 (* Largest quick-grid registry dataset. *)
 let kernel_dataset = "gowalla"
@@ -140,7 +140,7 @@ let kernel_dag =
     | Some (h, kd, comp) ->
       let g = Lazy.force kernel_graph in
       let dec = Truss.Decompose.run g in
-      let onion = Truss.Onion.peel ~impl:`Csr ~h ~k:kd ~candidates:comp () in
+      let onion = Truss.Onion.peel ~h ~k:kd ~candidates:comp () in
       Some (Maxtruss.Block_dag.build ~h ~dec ~k:kd ~component:comp ~onion))
 
 (* Synthetic layered flow network (same generator as exp_scaling's Dinic
@@ -173,20 +173,10 @@ let test_csr_support =
   Test.make ~name:(kname "csr_support")
     (Staged.stage (fun () -> ignore (Truss.Support.all_csr (Lazy.force kernel_csr))))
 
-let test_ref_support =
-  Test.make ~name:(kname "ref_support")
-    (Staged.stage (fun () ->
-         ignore (Truss.Support.all ~impl:`Hashtbl (Lazy.force kernel_graph))))
-
 let test_csr_decompose =
   Test.make ~name:(kname "csr_decompose")
     (Staged.stage (fun () ->
-         ignore (Truss.Decompose.run ~impl:`Csr (Lazy.force kernel_graph))))
-
-let test_ref_decompose =
-  Test.make ~name:(kname "ref_decompose")
-    (Staged.stage (fun () ->
-         ignore (Truss.Decompose.run ~impl:`Hashtbl (Lazy.force kernel_graph))))
+         ignore (Truss.Decompose.run (Lazy.force kernel_graph))))
 
 let test_csr_onion =
   Test.make ~name:(kname "csr_onion")
@@ -195,38 +185,17 @@ let test_csr_onion =
          | None -> ()
          | Some (h, kd, comp) ->
            (* the CSR peel never mutates h, so no defensive copy *)
-           ignore (Truss.Onion.peel ~impl:`Csr ~h ~k:kd ~candidates:comp ())))
+           ignore (Truss.Onion.peel ~h ~k:kd ~candidates:comp ())))
 
-let test_ref_onion =
-  Test.make ~name:(kname "ref_onion")
-    (Staged.stage (fun () ->
-         match Lazy.force kernel_onion with
-         | None -> ()
-         | Some (h, kd, comp) ->
-           ignore
-             (Truss.Onion.peel ~impl:`Hashtbl ~h:(Graphcore.Graph.copy h) ~k:kd
-                ~candidates:comp ())))
-
-(* Parametric g-sweep vs the per-probe rebuild baseline on the fixture DAG.
-   Same probes/weights as PCFR's default sweep; the two engines are
-   bit-identical in output, so this pair is a pure engine-cost comparison
-   (the warm kernel is the perf-gate artifact, the rebuild kernel the
-   reference it must beat). *)
+(* Warm-started parametric g-sweep on the fixture DAG, with the probes and
+   weights of PCFR's default sweep. *)
 let test_flow_sweep_warm =
   Test.make ~name:(kname "flow_sweep_warm")
     (Staged.stage (fun () ->
          match Lazy.force kernel_dag with
          | None -> ()
          | Some dag ->
-           ignore (Maxtruss.Flow_plan.sweep ~impl:`Parametric ~dag ~w1:1 ~w2:1 ~probes:10 ())))
-
-let test_flow_sweep_rebuild =
-  Test.make ~name:(kname "flow_sweep_rebuild")
-    (Staged.stage (fun () ->
-         match Lazy.force kernel_dag with
-         | None -> ()
-         | Some dag ->
-           ignore (Maxtruss.Flow_plan.sweep ~impl:`Rebuild ~dag ~w1:1 ~w2:1 ~probes:10 ())))
+           ignore (Maxtruss.Flow_plan.sweep ~dag ~w1:1 ~w2:1 ~probes:10 ())))
 
 (* Raw CSR Dinic: one zero-flow max-flow solve on a prebuilt 2k-node layered
    network (reset is a capacity blit, negligible next to the solve). *)
@@ -271,8 +240,8 @@ let test_serve_replay =
            (Service.Mutation_log.apply store
               [ del 13; Service.Mutation_log.Insert (1001, 1002) ])))
 
-(* Domain-parallel variants of the two heaviest CSR kernels under a 2-worker
-   pool.  Kept last in the suite so the pool spin-up never perturbs the
+(* Domain-parallel variants of the two heaviest CSR kernels under a
+   2-domain pool; in the decompose kernel only the support scatter forks.  Kept last in the suite so the pool spin-up never perturbs the
    sequential measurements; {!benchmark} restores the previous domain count
    once the suite finishes.  [Par.set_domains] is a cheap no-op after the
    first call, so it adds nothing measurable to the per-run cost. *)
@@ -286,35 +255,7 @@ let test_csr_decompose_par2 =
   Test.make ~name:(kname "csr_decompose_par2")
     (Staged.stage (fun () ->
          Par.set_domains 2;
-         ignore (Truss.Decompose.run ~impl:`Csr (Lazy.force kernel_graph))))
-
-(* 4-worker variants of the round-synchronized peel paths and the
-   speculative g-sweep.  On a single-CPU host these bound the parallel
-   machinery's overhead rather than showing speedup; the perf gate records
-   them so either direction of drift is visible. *)
-let test_csr_decompose_par4 =
-  Test.make ~name:(kname "csr_decompose_par4")
-    (Staged.stage (fun () ->
-         Par.set_domains 4;
-         ignore (Truss.Decompose.run ~impl:`Csr (Lazy.force kernel_graph))))
-
-let test_onion_peel_par4 =
-  Test.make ~name:(kname "onion_peel_par4")
-    (Staged.stage (fun () ->
-         Par.set_domains 4;
-         match Lazy.force kernel_onion with
-         | None -> ()
-         | Some (h, kd, comp) ->
-           ignore (Truss.Onion.peel ~impl:`Csr ~h ~k:kd ~candidates:comp ())))
-
-let test_flow_sweep_par4 =
-  Test.make ~name:(kname "flow_sweep_par4")
-    (Staged.stage (fun () ->
-         Par.set_domains 4;
-         match Lazy.force kernel_dag with
-         | None -> ()
-         | Some dag ->
-           ignore (Maxtruss.Flow_plan.sweep ~impl:`Parametric ~dag ~w1:1 ~w2:1 ~probes:10 ())))
+         ignore (Truss.Decompose.run (Lazy.force kernel_graph))))
 
 (* One kernel's multi-sample measurement: Bechamel's raw linear-regression
    samples, normalized per run, feed the median/MAD baseline statistics
@@ -335,10 +276,10 @@ let per_run raws ~f =
   |> Array.of_list
 
 (* [quota_s] bounds the sampling time per kernel.  The 1s default keeps the
-   interactive run snappy; baseline recording passes a larger quota so even
-   the slowest kernel (ref_decompose, ~1.3s/run) collects the >= 5 samples
-   the median/MAD statistics need (samples ramp linearly in run count, so
-   N samples cost ~N*(N+1)/2 runs). *)
+   interactive run snappy; baseline recording passes a larger quota so the
+   slowest kernels (csr_decompose, pcfr_small: tens of ms per run) collect
+   well over the >= 5 samples the median/MAD statistics need (samples ramp
+   linearly in run count, so N samples cost ~N*(N+1)/2 runs). *)
 let benchmark ?(quota_s = 1.0) () =
   let tests =
     [
@@ -352,20 +293,13 @@ let benchmark ?(quota_s = 1.0) () =
       test_fig8;
       test_csr_build;
       test_csr_support;
-      test_ref_support;
       test_csr_decompose;
-      test_ref_decompose;
       test_csr_onion;
-      test_ref_onion;
       test_flow_sweep_warm;
-      test_flow_sweep_rebuild;
       test_dinic_csr;
       test_serve_replay;
       test_csr_support_par2;
       test_csr_decompose_par2;
-      test_csr_decompose_par4;
-      test_onion_peel_par4;
-      test_flow_sweep_par4;
     ]
   in
   let instances =

@@ -45,7 +45,7 @@ let experiments =
     ("table5", "Table V + Fig. 7: DP quality and time", Exp_dp.run);
     ("fig8", "Fig. 8: case study conversion ratios", Exp_fig8.run);
     ("scaling", "Table III companion: kernel scaling + ablations", Exp_scaling.run);
-    ("flowsweep", "Parametric warm-start vs per-probe rebuild g-sweep", Exp_flow.run);
+    ("flowsweep", "Parametric warm-start g-sweep, checked against rebuilt cuts", Exp_flow.run);
     ("corevs", "Motivation companion: truss vs core maximization", Exp_core_vs_truss.run);
     ("anchorvs", "Related-work companion: anchoring vs edge insertion", Exp_anchor.run);
     ("weighted", "Extension: weighted insertion budgets", Exp_weighted.run);
@@ -227,7 +227,7 @@ let () =
      record/check default to a larger Bechamel quota than interactive runs.
      Bechamel ramps the run count linearly (sample i costs i runs), so N
      samples of a t-second kernel need ~ N*(N+1)/2 * t seconds of quota:
-     30s buys the ~1.3s/run ref_decompose kernel 6 samples, while fast
+     30s buys the ~0.08s/run csr_decompose kernel ~26 samples, while fast
      kernels stop at the 200-sample limit long before the quota. *)
   let quota_s =
     match !quota with

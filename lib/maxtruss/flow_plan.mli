@@ -25,7 +25,6 @@ val g_max : dag:Block_dag.t -> w1:int -> w2:int -> int
     [2q + w1*Lmax + w2*Bmax]. *)
 
 val sweep :
-  ?impl:[ `Parametric | `Rebuild ] ->
   dag:Block_dag.t ->
   w1:int ->
   w2:int ->
@@ -35,11 +34,8 @@ val sweep :
 (** Bisection sweep using at most [probes] cut computations; returns the
     distinct non-empty selections found, largest [h_score] first.
 
-    [?impl] selects the flow engine — the two are bit-identical in output
-    (property-tested), differing only in cost:
-    - [`Parametric] (default): one {!Flow.Parametric} network per sweep;
-      probes retune gate capacities and warm-start Dinic from the retained
-      flow (see [parametric.*] counters).
-    - [`Rebuild]: the pre-parametric reference path — every probe rebuilds
-      the network and solves from zero flow.  Kept as the equivalence and
-      benchmark baseline. *)
+    One {!Flow.Parametric} network is built per sweep; probes retune the
+    gate capacities and warm-start Dinic from the retained flow (see the
+    [parametric.*] counters).  Every selection is either the cut of
+    {!min_cut_selection} at its [g_param], or that cut minus exactly one
+    sink-adjacent block (a leaf-drop variant). *)

@@ -62,10 +62,9 @@ type result = { outcome : Outcome.t; levels : level_stat list }
 let flow_selections ~ctx ~dec ~config ~component =
   let g = ctx.Score.g and k = ctx.Score.k in
   let h_graph = Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:component in
-  (* The CSR peel works on an immutable snapshot, so [h_graph] survives for
-     the DAG build below without the defensive copy the hashtable path
-     needed. *)
-  let onion = Truss.Onion.peel ~impl:`Csr ~h:h_graph ~k ~candidates:component () in
+  (* The peel works on an immutable snapshot, so [h_graph] survives for
+     the DAG build below without a defensive copy. *)
+  let onion = Truss.Onion.peel ~h:h_graph ~k ~candidates:component () in
   let dag = Block_dag.build ~h:h_graph ~dec ~k ~component ~onion in
   (* Different (w1, w2) settings frequently rediscover the same anchored
      block set; convert each distinct target only once. *)

@@ -13,13 +13,14 @@
    count — parallelism only changes wall-clock time.  {!tasks} assigns
    task t to slot [t mod domains] STATICALLY; {!steal_tasks} assigns the
    same initial round-robin but lets idle slots steal queued tasks from
-   busy ones (skewed task costs — power-law peel frontiers — would
-   otherwise serialize on one fat slot).  WHICH domain runs a task is
-   scheduling-dependent under stealing, but since nothing about a result
-   depends on the executing domain, outputs are unchanged; only the
-   [par.steals] counter observes the schedule.  Callers must keep task
-   bodies free of shared mutable state (or confine writes to disjoint
-   slices); everything this module hands a task is task-private.
+   busy ones (skewed task costs — triangle-dense chunks, uneven
+   components — would otherwise serialize on one fat slot).  WHICH
+   domain runs a task is scheduling-dependent under stealing, but since
+   nothing about a result depends on the executing domain, outputs are
+   unchanged; only the [par.steals] counter observes the schedule.
+   Callers must keep task bodies free of shared mutable state (or confine
+   writes to disjoint slices); everything this module hands a task is
+   task-private.
 
    Reentrancy: a parallel region entered from a worker domain, or while
    another region is running on the main domain, silently degrades to
@@ -282,29 +283,21 @@ let chunk_bounds ~chunks ~n =
     Array.init c (fun i -> (i * n / c, (i + 1) * n / c))
   end
 
-let parallel_for ?chunks ~n f =
-  let c = match chunks with Some c -> c | None -> domains () in
-  ignore (tasks (Array.map (fun (lo, hi) () -> f lo hi) (chunk_bounds ~chunks:c ~n)))
-
-(* Default work granularity, in loop iterations (historically the
-   hardcoded 4096-edge cutoff of the support kernel).  Call sites tune
-   [?grain] to their per-iteration cost: cheap scatters keep the default,
-   triangle-heavy peel rounds run profitably on smaller chunks. *)
+(* Work granularity, in loop iterations: the sequential cutoff of
+   {!map_range} and of the support scatter.  At or below it a range runs
+   inline, because fork/join costs more than splitting a scan that small. *)
 let default_grain = 4096
 
-let range_chunks ~grain ~n =
+let range_chunks ~n =
   (* Several grain-sized chunks per slot give the stealer something to
      take, but cap the count so per-chunk bookkeeping (result slots, span
      buffers, merge order) stays negligible. *)
   let d = domains () in
-  let wanted = (n + grain - 1) / grain in
+  let wanted = (n + default_grain - 1) / default_grain in
   chunk_bounds ~chunks:(min wanted (8 * d)) ~n
 
-let map_range ?(grain = default_grain) ~n f =
-  if grain < 1 then invalid_arg "Par.map_range: grain must be >= 1";
+let map_range ~n f =
   if n <= 0 then [||]
-  else if (not (available ())) || n <= grain then [| f 0 n |]
+  else if (not (available ())) || n <= default_grain then [| f 0 n |]
   else
-    steal_tasks (Array.map (fun (lo, hi) () -> f lo hi) (range_chunks ~grain ~n))
-
-let for_range ?grain ~n f = ignore (map_range ?grain ~n f)
+    steal_tasks (Array.map (fun (lo, hi) () -> f lo hi) (range_chunks ~n))

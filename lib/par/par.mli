@@ -43,8 +43,9 @@ val set_domains : int -> unit
 val available : unit -> bool
 (** True when a region entered right now would actually fork: pool sized
     above 1, calling domain is the owner, and no region is already
-    running.  Lets callers skip building speculative work that a
-    sequential fallback would execute verbatim (and pointlessly). *)
+    running.  Lets callers skip the setup of a parallel split (private
+    scratch arrays, chunk bounds) that a sequential fallback would not
+    need. *)
 
 val tasks : (unit -> 'a) array -> 'a array
 (** Run the thunks as one parallel region; [tasks fs |> Array.get i] is
@@ -61,7 +62,7 @@ val steal_tasks : (unit -> 'a) array -> 'a array
 val parallel_map : ('a -> 'b) -> 'a array -> 'b array
 (** One task per element — intended for coarse-grained work items (e.g.
     per-component phases); for fine-grained loops chunk with
-    {!chunk_bounds}, {!parallel_for} or {!map_range} instead. *)
+    {!chunk_bounds} or {!map_range} instead. *)
 
 val map_list : ('a -> 'b) -> 'a list -> 'b list
 (** {!parallel_map} over a list, preserving order. *)
@@ -70,25 +71,17 @@ val chunk_bounds : chunks:int -> n:int -> (int * int) array
 (** Even static split of [0, n) into at most [chunks] non-empty [(lo, hi)]
     ranges: chunk [i] is [(i*n/c, (i+1)*n/c)].  Empty for [n <= 0]. *)
 
-val parallel_for : ?chunks:int -> n:int -> (int -> int -> unit) -> unit
-(** [parallel_for ~n f] runs [f lo hi] over a static chunking of [0, n)
-    ([?chunks] defaults to [domains ()]).  [f] must write only to
-    chunk-disjoint state. *)
-
 val default_grain : int
-(** Default [?grain] (4096 iterations) — the historical sequential
-    cutoff of the support kernel, now a per-call-site knob. *)
+(** 4096 iterations: the range length at or below which {!map_range} runs
+    its body inline on the caller. *)
 
-val map_range : ?grain:int -> n:int -> (int -> int -> 'a) -> 'a array
-(** [map_range ~grain ~n f] splits [0, n) into roughly grain-sized
+val map_range : n:int -> (int -> int -> 'a) -> 'a array
+(** [map_range ~n f] splits [0, n) into roughly {!default_grain}-sized
     chunks (at most 8 per slot), runs [f lo hi] per chunk under
     {!steal_tasks}, and returns the per-chunk results in chunk order.
-    Runs [f 0 n] inline — one result — when [n <= grain] or the pool is
-    not {!available}: the grain IS the sequential cutoff.  [f] must
+    Runs [f 0 n] inline — one result — when [n <= default_grain] or the
+    pool is not {!available}: the grain IS the sequential cutoff.  [f] must
     write only to chunk-disjoint state. *)
-
-val for_range : ?grain:int -> n:int -> (int -> int -> unit) -> unit
-(** {!map_range} for effects only. *)
 
 val shutdown : unit -> unit
 (** Join all worker domains and drop the pool; the next region respawns

@@ -10,14 +10,13 @@ open Graphcore
 
 type t
 
-val run : ?impl:[ `Csr | `Hashtbl ] -> Graph.t -> t
+val run : Graph.t -> t
 (** Decompose the graph; [g] is never modified.
 
-    The default [`Csr] implementation freezes [g] into a {!Csr} snapshot and
-    peels on flat edge-id arrays with an intrusive doubly-linked bucket
-    list — no hashing anywhere in the hot loop.  [`Hashtbl] is the original
-    reference path (peeling a mutable copy with an [Edge_key]-keyed bucket
-    queue).  Both produce identical trussness maps. *)
+    Freezes [g] into a {!Csr} snapshot and peels on flat edge-id arrays
+    with an intrusive doubly-linked bucket list — no hashing anywhere in
+    the hot loop.  Only the initial support pass ({!Support.all_csr}) uses
+    the {!Par} pool; the peel itself is sequential. *)
 
 val patched : t -> changes:(Edge_key.t * int option) list -> t
 (** Copy with trussness overrides applied: [(key, Some tau)] sets the
@@ -33,8 +32,8 @@ val trussness : t -> Edge_key.t -> int
 val trussness_opt : t -> Edge_key.t -> int option
 
 val kmax : t -> int
-(** Largest [k] with a non-empty k-truss ([0] for a triangle-free graph of
-    fewer than 1 edges; [2] for any non-empty graph). *)
+(** Largest [k] with a non-empty k-truss: [0] for a graph with no edges,
+    at least [2] for any non-empty graph. *)
 
 val k_class : t -> int -> Edge_key.t list
 (** Edges with trussness exactly [k] (the k-class [E_k]). *)

@@ -21,7 +21,7 @@ type result = {
 }
 
 val peel :
-  ?impl:[ `Csr | `Hashtbl ] ->
+  ?impl:[ `Csr ] ->
   h:Graph.t ->
   k:int ->
   candidates:Edge_key.t list ->
@@ -29,11 +29,13 @@ val peel :
   result
 (** [peel ~h ~k ~candidates ()] peels [candidates] inside the subgraph [h]
     (which must contain every candidate; all other [h] edges form the
-    backdrop).
+    backdrop).  It snapshots [h] once into {!Csr} form and peels on flat
+    arrays, leaving [h] untouched.  Only the candidate-support
+    initialization uses the {!Par} pool; the rounds run sequentially.
 
-    The default [`Csr] implementation snapshots [h] once and peels on flat
-    arrays, leaving [h] untouched.  The [`Hashtbl] reference path consumes
-    [h]: it removes edges from it.  Both produce identical layers.
+    [?impl] selects nothing: its only value is [`Csr], and it is kept solely
+    for the frozen benchmark call site in [perfbench/maximize_wl.ml]. Other
+    callers omit it.
 
     Candidates that never fall below the support threshold would belong to
     the k-truss — impossible when trussness was computed correctly — but the

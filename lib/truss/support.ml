@@ -6,10 +6,9 @@ let c_triangles = Obs.Counter.make "support.triangles_enumerated"
 
 (* Below this many edges the per-domain scratch arrays cost more than the
    enumeration they split; the cutoff only switches execution strategy,
-   never the result.  This call site keeps the coarse default grain: the
-   merge pass costs chunks * m, so unlike the peel rounds it wants as FEW
-   chunks as possible — exactly [Par.domains ()], statically balanced by
-   oriented out-degree rather than grain-sliced. *)
+   never the result.  The merge pass costs chunks * m, so the scatter
+   wants as FEW chunks as possible — exactly [Par.domains ()], statically
+   balanced by oriented out-degree rather than grain-sliced. *)
 let par_cutoff = Par.default_grain
 
 let all_csr csr =
@@ -57,22 +56,14 @@ let all_csr csr =
   end;
   sup
 
-let all_hashtbl g =
-  let tbl = Hashtbl.create (Graph.num_edges g) in
-  Graph.iter_edges g (fun u v -> Hashtbl.replace tbl (Edge_key.make u v) (of_edge g u v));
+let all g =
+  let csr = Csr.of_graph g in
+  let sup = all_csr csr in
+  let m = Csr.num_edges csr in
+  let tbl = Hashtbl.create (max m 1) in
+  for e = 0 to m - 1 do
+    Hashtbl.replace tbl (Csr.edge_key csr e) sup.(e)
+  done;
   tbl
-
-let all ?(impl = `Csr) g =
-  match impl with
-  | `Hashtbl -> all_hashtbl g
-  | `Csr ->
-    let csr = Csr.of_graph g in
-    let sup = all_csr csr in
-    let m = Csr.num_edges csr in
-    let tbl = Hashtbl.create (max m 1) in
-    for e = 0 to m - 1 do
-      Hashtbl.replace tbl (Csr.edge_key csr e) sup.(e)
-    done;
-    tbl
 
 let sum g = 3 * Csr.triangle_count (Csr.of_graph g)

@@ -103,6 +103,40 @@ let oracle_trussness g =
   done;
   tau
 
+(* Definition-level onion layers (Definitions 5 and 8): synchronous rounds
+   on a copy of [h].  Round [l] removes every remaining candidate whose
+   support in the current graph is below [k - 2] and records [l] as its
+   layer; backdrop edges are never removed.  Candidates no round removes
+   share one layer past the last round. *)
+let oracle_onion ~h ~k ~candidates =
+  let h = Graph.copy h in
+  let layer = Hashtbl.create 64 in
+  let rounds = ref 0 in
+  let rec loop remaining =
+    let peeled, kept =
+      List.partition
+        (fun key ->
+          let u, v = Edge_key.endpoints key in
+          Truss.Support.of_edge h u v < k - 2)
+        remaining
+    in
+    if peeled = [] then remaining
+    else begin
+      incr rounds;
+      List.iter
+        (fun key ->
+          Hashtbl.replace layer key !rounds;
+          let u, v = Edge_key.endpoints key in
+          ignore (Graph.remove_edge h u v))
+        peeled;
+      loop kept
+    end
+  in
+  let stuck = loop candidates in
+  let max_layer = if stuck = [] then !rounds else !rounds + 1 in
+  List.iter (fun key -> Hashtbl.replace layer key max_layer) stuck;
+  { Truss.Onion.layer; max_layer; rounds = !rounds }
+
 let sorted_keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
 
 (* Substring membership, for asserting on rendered response lines. *)

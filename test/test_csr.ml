@@ -1,8 +1,10 @@
-(* CSR snapshot kernels vs. the hashtable reference implementations.
+(* CSR snapshot structure, and the CSR truss kernels against
+   definition-level oracles.
 
-   The contract is exact agreement: per-edge support, full trussness map +
-   kmax, and onion layer assignment must be identical between the `Csr and
-   `Hashtbl paths on every seed of every random family. *)
+   The contract is exact agreement on every seed of every random family:
+   per-edge support against [Support.of_edge], the full trussness map and
+   kmax against [Helpers.oracle_trussness], and onion layers, max layer and
+   round count against [Helpers.oracle_onion]. *)
 
 open Graphcore
 
@@ -113,11 +115,17 @@ let test_gallop_skewed () =
     (Csr.count_common_neighbors csr 1 2);
   Alcotest.(check int) "triangles" 2 (Csr.triangle_count csr)
 
+(* Reference support of every edge, one common-neighbour count each. *)
+let oracle_support g =
+  let acc = ref [] in
+  Graph.iter_edges g (fun u v ->
+      acc := (Edge_key.make u v, Truss.Support.of_edge g u v) :: !acc);
+  List.sort compare !acc
+
 let test_triangle_count_matches_support_sum () =
   iter_cases (fun fam seed g ->
       let csr = Csr.of_graph g in
-      let sup = Truss.Support.all ~impl:`Hashtbl g in
-      let sum3 = Hashtbl.fold (fun _ s acc -> acc + s) sup 0 in
+      let sum3 = List.fold_left (fun acc (_, s) -> acc + s) 0 (oracle_support g) in
       Alcotest.(check int)
         (Printf.sprintf "%s/%d triangle count" fam seed)
         (sum3 / 3) (Csr.triangle_count csr))
@@ -126,35 +134,35 @@ let test_triangle_count_matches_support_sum () =
 
 let test_support_agreement () =
   iter_cases (fun fam seed g ->
-      let reference = Truss.Support.all ~impl:`Hashtbl g in
-      let csr_tbl = Truss.Support.all ~impl:`Csr g in
+      let reference = oracle_support g in
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "%s/%d support table" fam seed)
-        (sorted_bindings reference) (sorted_bindings csr_tbl);
+        reference
+        (sorted_bindings (Truss.Support.all g));
       (* flat-array form agrees entry by entry *)
       let csr = Csr.of_graph g in
       let flat = Truss.Support.all_csr csr in
-      Graph.iter_edges g (fun u v ->
+      List.iter
+        (fun (key, s) ->
+          let u, v = Edge_key.endpoints key in
           Alcotest.(check int)
             (Printf.sprintf "%s/%d flat support (%d,%d)" fam seed u v)
-            (Hashtbl.find reference (Edge_key.make u v))
-            flat.(Csr.edge_id csr u v)))
+            s flat.(Csr.edge_id csr u v))
+        reference)
 
 let test_decompose_agreement () =
   iter_cases (fun fam seed g ->
-      let reference = Truss.Decompose.run ~impl:`Hashtbl g in
-      let csr = Truss.Decompose.run ~impl:`Csr g in
+      let reference = Helpers.oracle_trussness g in
+      let dec = Truss.Decompose.run g in
       Alcotest.(check int)
         (Printf.sprintf "%s/%d kmax" fam seed)
-        (Truss.Decompose.kmax reference) (Truss.Decompose.kmax csr);
-      let bindings dec =
-        let acc = ref [] in
-        Truss.Decompose.iter dec (fun key tau -> acc := (key, tau) :: !acc);
-        List.sort compare !acc
-      in
+        (Hashtbl.fold (fun _ tau acc -> max tau acc) reference 0)
+        (Truss.Decompose.kmax dec);
+      let bindings = ref [] in
+      Truss.Decompose.iter dec (fun key tau -> bindings := (key, tau) :: !bindings);
       Alcotest.(check (list (pair int int)))
         (Printf.sprintf "%s/%d trussness map" fam seed)
-        (bindings reference) (bindings csr))
+        (sorted_bindings reference) (List.sort compare !bindings))
 
 let test_onion_agreement () =
   iter_cases (fun fam seed g ->
@@ -164,11 +172,9 @@ let test_onion_agreement () =
       Truss.Decompose.iter dec (fun key tau -> if tau < k then cands := key :: !cands);
       if !cands <> [] then begin
         let backdrop = Truss.Decompose.truss_edge_table dec k in
-        let build () = Truss.Onion.build_h ~g ~backdrop ~candidates:!cands in
-        let reference =
-          Truss.Onion.peel ~impl:`Hashtbl ~h:(build ()) ~k ~candidates:!cands ()
-        in
-        let csr = Truss.Onion.peel ~impl:`Csr ~h:(build ()) ~k ~candidates:!cands () in
+        let h = Truss.Onion.build_h ~g ~backdrop ~candidates:!cands in
+        let reference = Helpers.oracle_onion ~h ~k ~candidates:!cands in
+        let csr = Truss.Onion.peel ~h ~k ~candidates:!cands () in
         Alcotest.(check int)
           (Printf.sprintf "%s/%d max_layer" fam seed)
           reference.Truss.Onion.max_layer csr.Truss.Onion.max_layer;
@@ -190,7 +196,7 @@ let test_csr_peel_preserves_h () =
   let backdrop = Truss.Decompose.truss_edge_table dec k in
   let h = Truss.Onion.build_h ~g ~backdrop ~candidates:!cands in
   let before = Graph.num_edges h in
-  ignore (Truss.Onion.peel ~impl:`Csr ~h ~k ~candidates:!cands ());
+  ignore (Truss.Onion.peel ~h ~k ~candidates:!cands ());
   Alcotest.(check int) "CSR peel leaves h untouched" before (Graph.num_edges h)
 
 let suite =

@@ -123,16 +123,28 @@ let with_domains n f =
   Par.set_domains n;
   Fun.protect ~finally:(fun () -> Par.set_domains saved) f
 
-let selection_fingerprint (s : Flow_plan.selection) =
-  (s.Flow_plan.g_param, s.Flow_plan.blocks, s.Flow_plan.h_score, s.Flow_plan.cut_value)
+(* Every selection the sweep returns is explained by a from-scratch cut at
+   its own g: either that cut's blocks, or those blocks minus exactly one
+   sink-adjacent block (a leaf-drop variant); the cut value is the cut's
+   and h_score sums the selection's block sizes. *)
+let selection_explained ~dag ~w1 ~w2 (sel : Flow_plan.selection) =
+  let cut = Flow_plan.min_cut_selection ~dag ~w1 ~w2 ~g:sel.Flow_plan.g_param in
+  let blocks = sel.Flow_plan.blocks in
+  let leaf_drop =
+    List.exists
+      (fun b ->
+        dag.Block_dag.base_sink.(b) > 0 && List.filter (( <> ) b) cut.Flow_plan.blocks = blocks)
+      cut.Flow_plan.blocks
+  in
+  (blocks = cut.Flow_plan.blocks || leaf_drop)
+  && sel.Flow_plan.cut_value = cut.Flow_plan.cut_value
+  && sel.Flow_plan.h_score = List.fold_left (fun acc b -> acc + Block_dag.size dag b) 0 blocks
 
-(* Warm-vs-cold equivalence: the parametric-engine sweep must return
-   exactly the selections of a from-scratch per-probe rebuild — same
-   values, same order — on random block DAGs at both (w1, w2) settings of
-   the paper, and identically under a 1- and a 4-domain pool (the sweeps
-   run inside the pool's tasks, as PCFR issues them). *)
-let prop_parametric_sweep_matches_rebuild =
-  QCheck2.Test.make ~name:"parametric sweep equals per-probe rebuild (1 and 4 domains)"
+(* The warm-started sweep against per-probe rebuilt cuts on random block
+   DAGs at both (w1, w2) settings of the paper, under a 1- and a 4-domain
+   pool (the sweeps run inside the pool's tasks, as PCFR issues them). *)
+let prop_sweep_selections_are_cuts =
+  QCheck2.Test.make ~name:"sweep selections are rebuilt cuts or leaf drops (1 and 4 domains)"
     ~count:30
     (Helpers.random_graph_gen ())
     (fun edges ->
@@ -150,71 +162,23 @@ let prop_parametric_sweep_matches_rebuild =
                let h =
                  Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:comp
                in
-               let onion = Truss.Onion.peel ~h:(Graph.copy h) ~k ~candidates:comp () in
+               let onion = Truss.Onion.peel ~h ~k ~candidates:comp () in
                Block_dag.build ~h ~dec ~k ~component:comp ~onion)
              comps)
       in
-      let sweep_all impl =
-        Par.parallel_map
-          (fun dag ->
-            List.concat_map
-              (fun (w1, w2) ->
-                List.map selection_fingerprint
-                  (Flow_plan.sweep ~impl ~dag ~w1 ~w2 ~probes:8 ()))
-              [ (1, 1); (1, 10) ])
-          dags
-      in
       List.for_all
         (fun domains ->
-          with_domains domains @@ fun () -> sweep_all `Parametric = sweep_all `Rebuild)
+          with_domains domains @@ fun () ->
+          Par.parallel_map
+            (fun dag ->
+              List.for_all
+                (fun (w1, w2) ->
+                  List.for_all (selection_explained ~dag ~w1 ~w2)
+                    (Flow_plan.sweep ~dag ~w1 ~w2 ~probes:8 ()))
+                [ (1, 1); (1, 10) ])
+            dags
+          |> Array.for_all Fun.id)
         [ 1; 4 ])
-
-(* Speculative probes: with a multi-domain pool and the sweep on the main
-   domain, each bisection round prefetches its would-be child probes on
-   cloned engines.  The committed probe sequence is untouched, so the
-   selections must be bit-identical to the 1-domain sweep at every pool
-   size — including the odd counts, where the look-ahead set doesn't divide
-   evenly across workers. *)
-let test_speculative_sweep_identical () =
-  let dag = build_fig1_dag () in
-  let fingerprints d =
-    with_domains d @@ fun () ->
-    List.concat_map
-      (fun (w1, w2) ->
-        List.map selection_fingerprint (Flow_plan.sweep ~dag ~w1 ~w2 ~probes:10 ()))
-      [ (1, 1); (1, 10) ]
-  in
-  let seq = fingerprints 1 in
-  List.iter
-    (fun d ->
-      Alcotest.(check bool)
-        (Printf.sprintf "selections identical at %d domains" d)
-        true
-        (fingerprints d = seq))
-    [ 2; 3; 4; 5 ]
-
-(* ... and the speculation must actually happen: look-ahead solves launched
-   on clones, committed probes answered from the prefetch cache. *)
-let test_speculative_sweep_counters () =
-  let dag = build_fig1_dag () in
-  Obs.reset ();
-  Obs.set_enabled true;
-  Fun.protect ~finally:(fun () ->
-      Obs.set_enabled false;
-      Obs.reset ())
-  @@ fun () ->
-  with_domains 4 @@ fun () ->
-  ignore (Flow_plan.sweep ~dag ~w1:1 ~w2:10 ~probes:10 ());
-  let v name = Option.value ~default:0 (List.assoc_opt name (Obs.counters ())) in
-  Alcotest.(check bool)
-    (Printf.sprintf "speculative solves launched (got %d)" (v "flow_plan.spec_probes"))
-    true
-    (v "flow_plan.spec_probes" > 0);
-  Alcotest.(check bool)
-    (Printf.sprintf "probes served from the prefetch cache (got %d)"
-       (v "flow_plan.spec_hits"))
-    true
-    (v "flow_plan.spec_hits" > 0)
 
 let suite =
   [
@@ -226,9 +190,5 @@ let suite =
     Alcotest.test_case "empty dag" `Quick test_sweep_empty_dag;
     Helpers.qtest prop_lemma1_random;
     Helpers.qtest prop_h_score_consistent;
-    Helpers.qtest prop_parametric_sweep_matches_rebuild;
-    Alcotest.test_case "speculative sweep identical (1 vs 2/3/4/5 domains)" `Quick
-      test_speculative_sweep_identical;
-    Alcotest.test_case "speculative sweep counters" `Quick
-      test_speculative_sweep_counters;
+    Helpers.qtest prop_sweep_selections_are_cuts;
   ]

@@ -60,18 +60,6 @@ let test_parallel_map_order () =
   let l = List.init 11 string_of_int in
   Alcotest.(check (list string)) "map_list preserves order" l (Par.map_list Fun.id l)
 
-let test_parallel_for () =
-  with_domains 4 @@ fun () ->
-  let n = 10_000 in
-  let out = Array.make n 0 in
-  Par.parallel_for ~n (fun lo hi ->
-      for i = lo to hi - 1 do
-        out.(i) <- 2 * i
-      done);
-  let ok = ref true in
-  Array.iteri (fun i v -> if v <> 2 * i then ok := false) out;
-  Alcotest.(check bool) "every index written by its chunk" true !ok
-
 exception Boom of int
 
 let test_exception_propagation () =
@@ -152,7 +140,7 @@ let test_map_range () =
   let n = 100_000 in
   let out = Array.make n 0 in
   let chunks =
-    Par.map_range ~grain:1000 ~n (fun lo hi ->
+    Par.map_range ~n (fun lo hi ->
         for i = lo to hi - 1 do
           out.(i) <- 3 * i
         done;
@@ -171,7 +159,7 @@ let test_map_range () =
   Alcotest.(check bool) "chunk results tile in order" true (!ok && !covered = n);
   Alcotest.(check bool) "range actually split" true (Array.length chunks > 1);
   Alcotest.(check int) "inline below the grain" 1
-    (Array.length (Par.map_range ~grain:4096 ~n:100 (fun lo hi -> hi - lo)))
+    (Array.length (Par.map_range ~n:100 (fun lo hi -> hi - lo)))
 
 let test_domains_auto () =
   let saved = Par.domains () in
@@ -231,10 +219,9 @@ let test_big_graph_agreement () =
   Alcotest.(check bool) "fingerprints identical" true (seq = par)
 
 (* Skewed fixture: heavier per-node attachment and stronger clustering than
-   the big-graph fixture, so peel frontiers concentrate into a few fat
-   rounds with uneven triangle counts per edge — the tail the work-stealing
-   deques exist for.  Odd domain counts make chunk boundaries land
-   differently from the power-of-two runs above. *)
+   the big-graph fixture, so triangle counts per edge are uneven — the tail
+   the work-stealing deques exist for.  Odd domain counts make chunk
+   boundaries land differently from the power-of-two runs above. *)
 let test_skewed_graph_agreement () =
   let build () =
     let rng = Rng.create 99 in
@@ -252,9 +239,10 @@ let test_skewed_graph_agreement () =
         true (par = seq))
     [ 3; 5 ]
 
-(* The decompose above must actually run on the pool: par.tasks counts
-   forked regions, so a zero here means the parallel path silently fell
-   back to sequential and the agreement tests prove nothing. *)
+(* The decompose above must actually run on the pool — its support
+   scatter forks: par.tasks counts forked regions, so a zero here means
+   the parallel path silently fell back to sequential and the agreement
+   tests prove nothing. *)
 let test_peel_runs_on_pool () =
   Obs.reset ();
   Obs.set_enabled true;
@@ -350,7 +338,7 @@ let suite =
     Helpers.qtest prop_chunk_bounds_tile;
     Alcotest.test_case "tasks result order" `Quick test_tasks_order;
     Alcotest.test_case "parallel_map/map_list order" `Quick test_parallel_map_order;
-    Alcotest.test_case "parallel_for covers the range" `Quick test_parallel_for;
+    Alcotest.test_case "4-domain counter hammer" `Quick test_counter_hammer;
     Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
     Alcotest.test_case "nested regions fall back" `Quick test_nested_region_falls_back;
     Alcotest.test_case "steal_tasks result order" `Quick test_steal_tasks_order;
@@ -367,7 +355,6 @@ let suite =
       test_skewed_graph_agreement;
     Alcotest.test_case "parallel peel forks the pool" `Quick test_peel_runs_on_pool;
     Helpers.qtest prop_pcfr_agreement;
-    Alcotest.test_case "4-domain counter hammer" `Quick test_counter_hammer;
     Alcotest.test_case "disabled obs allocation-free with pool live" `Quick
       test_disabled_alloc_free_with_pool;
   ]
