@@ -325,7 +325,7 @@ let () =
     | Ok baseline ->
       let fresh = fresh_baseline () in
       (* Gate against the trend across the recorded history (a no-op for
-         single-run v1/v2 files, whose trend is themselves). *)
+         a single-run file, whose trend is itself). *)
       if baseline.Perf_baseline.history <> [] then
         Printf.printf "perf gate: comparing against the trend of %d recorded run(s)\n"
           (List.length baseline.Perf_baseline.history + 1);

@@ -29,7 +29,8 @@ let () =
     (String.concat ", "
        (List.map (fun c -> Printf.sprintf "%d edges" (List.length c)) comms));
 
-  let before = Truss.Truss_query.k_truss_size g ~k in
+  let truss_size g = List.length (Truss.Decompose.truss_edges (Truss.Decompose.run g) k) in
+  let before = truss_size g in
   let budget = 10 in
   let result = Maxtruss.Pcfr.pcfr ~g ~k ~budget () in
   let o = result.Maxtruss.Pcfr.outcome in
@@ -42,4 +43,4 @@ let () =
     (String.concat ", "
        (List.map (fun c -> Printf.sprintf "%d edges" (List.length c)) comms'))
     before
-    (Truss.Truss_query.k_truss_size g ~k)
+    (truss_size g)

@@ -1,7 +1,10 @@
 (* Dynamic graph stream: track a k-truss through interleaved edge
-   insertions and deletions with the incremental maintenance API — the
-   substrate truss maximization verifies its plans with, usable on its own
-   for streaming cohesive-subgraph monitoring.
+   insertions and deletions with the incremental maintenance kernel —
+   [Maintain.level_delta] over an overlay of the graph, the same kernel
+   truss maximization scores its plans with and the service maintains its
+   epochs with — usable on its own for streaming cohesive-subgraph
+   monitoring.  Exits 1 when the maintained truss disagrees with a fresh
+   decomposition.
 
      dune exec examples/dynamic_stream.exe *)
 
@@ -12,7 +15,13 @@ let () =
   let base = Gen.powerlaw_cluster ~rng ~n:300 ~m:5 ~p:0.7 in
   let g = Gen.with_communities ~rng ~base ~communities:8 ~size_min:8 ~size_max:12 ~drop:0.25 in
   let k = 6 in
-  let truss = ref (Truss.Truss_query.k_truss_edges g ~k) in
+  let k_truss g = Truss.Decompose.truss_edge_table (Truss.Decompose.run g) k in
+  let truss = ref (k_truss g) in
+  (* The overlay only reads [g]; the event is applied afterwards. *)
+  let delta ~inserted ~deleted =
+    let ov = Truss.Maintain.Overlay.of_graph g ~inserted ~deleted in
+    Truss.Maintain.level_delta ov ~in_old:(Hashtbl.mem !truss) ~k
+  in
   Printf.printf "start: %d edges, %d-truss holds %d of them\n" (Graph.num_edges g) k
     (Hashtbl.length !truss);
 
@@ -31,41 +40,39 @@ let () =
       if Array.length nbrs >= 2 then begin
         let a = Rng.pick rng nbrs and b = Rng.pick rng nbrs in
         if a <> b && not (Graph.mem_edge g a b) then begin
-          let delta =
-            Truss.Maintain.k_truss_after_insert ~g ~old_truss:!truss ~k ~inserted:[ (a, b) ]
-          in
+          let { Truss.Maintain.promoted; _ } = delta ~inserted:[ (a, b) ] ~deleted:[] in
           ignore (Graph.add_edge g a b);
-          List.iter (fun e -> Hashtbl.replace !truss e ()) delta.Truss.Maintain.promoted;
-          if delta.Truss.Maintain.promoted <> [] then
+          List.iter (fun e -> Hashtbl.replace !truss e ()) promoted;
+          if promoted <> [] then
             Printf.printf "step %2d: +(%d,%d) promoted %d edges (truss: %d)\n" step a b
-              (List.length delta.Truss.Maintain.promoted)
-              (Hashtbl.length !truss)
+              (List.length promoted) (Hashtbl.length !truss)
         end
       end
     end
     else begin
       (* deletion of a random truss edge: watch the cascade *)
-      let keys = Hashtbl.fold (fun key () acc -> key :: acc) !truss [] in
+      let keys =
+        Hashtbl.fold (fun key () acc -> key :: acc) !truss [] |> List.sort Edge_key.compare
+      in
       if keys <> [] then begin
         let key = List.nth keys (Rng.int rng (List.length keys)) in
         let u, v = Edge_key.endpoints key in
-        let delta =
-          Truss.Maintain.k_truss_after_delete ~g ~old_truss:!truss ~k ~deleted:[ (u, v) ]
-        in
+        let { Truss.Maintain.demoted; _ } = delta ~inserted:[] ~deleted:[ (u, v) ] in
         ignore (Graph.remove_edge g u v);
-        List.iter (fun e -> Hashtbl.remove !truss e) delta.Truss.Maintain.demoted;
+        List.iter (fun e -> Hashtbl.remove !truss e) demoted;
         Printf.printf "step %2d: -(%d,%d) demoted %d edges (truss: %d)\n" step u v
-          (List.length delta.Truss.Maintain.demoted)
-          (Hashtbl.length !truss)
+          (List.length demoted) (Hashtbl.length !truss)
       end
     end
   done;
 
   (* Cross-check the maintained truss against recomputation. *)
-  let fresh = Truss.Truss_query.k_truss_edges g ~k in
+  let fresh = k_truss g in
+  let consistent =
+    Hashtbl.length !truss = Hashtbl.length fresh
+    && Hashtbl.fold (fun key () ok -> ok && Hashtbl.mem fresh key) !truss true
+  in
   Printf.printf "\nfinal: maintained truss %d edges, recomputed %d edges -> %s\n"
     (Hashtbl.length !truss) (Hashtbl.length fresh)
-    (if Hashtbl.length !truss = Hashtbl.length fresh
-        && Hashtbl.fold (fun key () ok -> ok && Hashtbl.mem fresh key) !truss true
-     then "consistent"
-     else "MISMATCH")
+    (if consistent then "consistent" else "MISMATCH");
+  if not consistent then exit 1

@@ -41,7 +41,8 @@ let () =
     (Graph.num_edges g);
 
   let k = 8 in
-  let resilient = Truss.Truss_query.k_truss_size g ~k in
+  let truss_size g = List.length (Truss.Decompose.truss_edges (Truss.Decompose.run g) k) in
+  let resilient = truss_size g in
   Printf.printf "routes surviving any %d simultaneous cancellations (%d-truss): %d\n" (k - 2) k
     resilient;
 
@@ -56,7 +57,7 @@ let () =
 
   List.iter (fun (u, v) -> ignore (Graph.add_edge g u v)) outcome.Maxtruss.Outcome.inserted;
   Printf.printf "resilient core after expansion: %d routes\n"
-    (Truss.Truss_query.k_truss_size g ~k);
+    (truss_size g);
 
   (* Per-level detail: how deep did the planner have to go? *)
   List.iter

@@ -26,7 +26,7 @@ let () =
 
   (* 2. The 4-truss today. *)
   let k = 4 in
-  let before = Truss.Truss_query.k_truss_size g ~k in
+  let before = List.length (Truss.Decompose.truss_edges dec k) in
   Printf.printf "current %d-truss: %d edges\n" k before;
 
   (* 3. Maximize: the best 2 edges to insert. *)
@@ -41,5 +41,5 @@ let () =
 
   (* 4. Verify by applying the plan. *)
   List.iter (fun (u, v) -> ignore (Graph.add_edge g u v)) outcome.Maxtruss.Outcome.inserted;
-  let after = Truss.Truss_query.k_truss_size g ~k in
+  let after = List.length (Truss.Decompose.truss_edges (Truss.Decompose.run g) k) in
   Printf.printf "verified: %d-truss grew from %d to %d edges\n" k before after

@@ -39,9 +39,9 @@ type result = { anchors : int list; followers : int; time_s : float }
 
 let greedy ~g ~k ~budget ?(max_candidates = 400) () =
   let t0 = Unix.gettimeofday () in
-  let base = Hashtbl.length (Truss.Truss_query.k_truss_edges g ~k) in
-  (* Candidates: nodes touching the (k-1)-class, by incident class degree. *)
   let dec = Truss.Decompose.run g in
+  let base = List.length (Truss.Decompose.truss_edges dec k) in
+  (* Candidates: nodes touching the (k-1)-class, by incident class degree. *)
   let weight = Hashtbl.create 64 in
   List.iter
     (fun key ->

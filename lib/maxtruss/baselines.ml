@@ -22,16 +22,11 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
         (* Gains are evaluated per component against a local context —
            triangle-connectivity independence makes that exact — and each
            local context is maintained incrementally on commit. *)
-        let ctx0 = Score.make_ctx g ~k in
+        let ctx0 = Score.make_ctx ~dec g ~k in
         let lctxs = Array.of_list (List.map (fun c -> Score.local_ctx ctx0 ~component:c) comps) in
         let n_comps = Array.length lctxs in
         let per_comp = max 20 (max_candidates / n_comps) in
-        let gain_of ci key =
-          let lctx = lctxs.(ci) in
-          let u, v = Edge_key.endpoints key in
-          Truss.Maintain.k_truss_after_insert ~g:lctx.Score.g
-            ~old_truss:lctx.Score.old_truss ~k ~inserted:[ (u, v) ]
-        in
+        let gain_of ci key = Score.evaluate lctxs.(ci) [ Edge_key.endpoints key ] in
         (* Lazy greedy: gains only shrink slowly as the graph grows, so a
            stale heap refreshed at the top commits the right edge with a
            handful of re-evaluations per step (the "candidate pruning" role
@@ -59,8 +54,7 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
                       let u, v = Edge_key.endpoints key in
                       let d = gain_of ci key in
                       let sup = Graph.count_common_neighbors lctx.Score.g u v in
-                      Min_heap.push heap
-                        (List.length d.Truss.Maintain.promoted, sup, ci, key)
+                      Min_heap.push heap (List.length d, sup, ci, key)
                     end
                   end)
                 pool
@@ -77,8 +71,8 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
             | None -> continue := false
             | Some (_, _, ci, key) when Graph.mem_edge_key lctxs.(ci).Score.g key -> ()
             | Some (_, _, ci, key) ->
-              let delta = gain_of ci key in
-              let fresh = List.length delta.Truss.Maintain.promoted in
+              let promoted = gain_of ci key in
+              let fresh = List.length promoted in
               let next_gain =
                 match Min_heap.peek heap with Some (ng, _, _, _) -> ng | None -> min_int
               in
@@ -86,9 +80,7 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
                 let lctx = lctxs.(ci) in
                 let u, v = Edge_key.endpoints key in
                 ignore (Graph.add_edge lctx.Score.g u v);
-                List.iter
-                  (fun e -> Hashtbl.replace lctx.Score.old_truss e ())
-                  delta.Truss.Maintain.promoted;
+                List.iter (fun e -> Hashtbl.replace lctx.Score.old_truss e ()) promoted;
                 chosen := (u, v) :: !chosen;
                 incr n_chosen
               end
@@ -104,7 +96,7 @@ let gtm ~g ~k ~budget ?(max_candidates = 400) ?(time_limit_s = 120.0) () =
 let cbtm_revenues ~g ~k ~budget =
   let dec = Truss.Decompose.run g in
   let comps = Truss.Connectivity.components ~g ~dec ~lo:(k - 1) ~hi:k in
-  let ctx = Score.make_ctx g ~k in
+  let ctx = Score.make_ctx ~dec g ~k in
   let revenue comp =
     let conv = Convert.convert ~ctx ~target:comp () in
     if conv.Convert.plan = [] || List.length conv.Convert.plan > budget then []

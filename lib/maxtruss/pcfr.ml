@@ -100,9 +100,9 @@ let flow_selections ~ctx ~dec ~config ~component =
   in
   (dag, selections)
 
-(* Conversion + scoring of the sweep selections.  [Score.score] inserts and
-   then removes plan edges in [lctx.g], so this stays on the domain that
-   owns the local context (the main domain in {!run}). *)
+(* Conversion + scoring of the sweep selections.  Reads [ctx] and [lctx]
+   without writing them; {!run} calls it on the main domain, in component
+   order, after the rng-consuming random interpolation. *)
 let convert_selections ~ctx ~lctx ~budget (dag, selections) =
   List.filter_map
     (fun sel ->
@@ -190,7 +190,7 @@ let run config g =
         if !h >= config.max_h then continue := false else incr h
       end
       else begin
-        let ctx = Score.make_ctx gw ~k in
+        let ctx = Score.make_ctx ~dec gw ~k in
         (* PCFR proper only randomizes on the (k-1)-class; PCR (flow
            disabled) randomizes at every depth. *)
         let level_config =
@@ -203,9 +203,9 @@ let run config g =
            (onion peel, block DAG, min-cut sweeps); phase 2 (main domain,
            component order) runs the rng-consuming random interpolation —
            drawing from the stream in exactly the sequential order — then
-           conversion and scoring, which temporarily mutate per-component
-           subgraphs.  The concatenated plans match the single-pass output
-           verbatim. *)
+           conversion and scoring.  Phase 2 is sequential only for that
+           rng order: scoring never writes a graph.  The concatenated plans
+           match the single-pass output verbatim. *)
         let comps_arr = Array.of_list comps in
         let scaffolds =
           Par.parallel_map

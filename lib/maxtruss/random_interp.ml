@@ -16,15 +16,15 @@ let interpolate ~rng ~ctx ~component ~budget ~repeats ?max_pool ?forbidden () =
       let b_r = Rng.int_in rng 1 budget in
       let chosen = Rng.sample_without_replacement rng b_r pool in
       let inserted = Array.to_list chosen |> List.map Edge_key.endpoints in
-      let delta = Score.evaluate ctx inserted in
+      let promoted_keys = Score.evaluate ctx inserted in
       let promoted = Hashtbl.create 64 in
-      List.iter (fun key -> Hashtbl.replace promoted key ()) delta.Truss.Maintain.promoted;
+      List.iter (fun key -> Hashtbl.replace promoted key ()) promoted_keys;
       (* Only inserted edges that made it into the truss are charged; the
          others would be peeled anyway, so the plan omits them. *)
       let surviving =
         List.filter (fun key -> Hashtbl.mem promoted key) (Array.to_list chosen)
       in
-      let v = List.length delta.Truss.Maintain.promoted in
+      let v = List.length promoted_keys in
       if v > !best_v then begin
         best_v := v;
         best_repeat := r

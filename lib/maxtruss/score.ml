@@ -2,14 +2,17 @@ open Graphcore
 
 type ctx = { g : Graph.t; k : int; old_truss : (Edge_key.t, unit) Hashtbl.t }
 
-let make_ctx g ~k = { g; k; old_truss = Truss.Truss_query.k_truss_edges g ~k }
+let make_ctx ?dec g ~k =
+  let dec = match dec with Some dec -> dec | None -> Truss.Decompose.run g in
+  { g; k; old_truss = Truss.Decompose.truss_edge_table dec k }
 
 let c_evaluations = Obs.Counter.make "score.evaluations"
 
 let evaluate ctx inserted =
   Obs.Span.with_ "score.evaluate" @@ fun () ->
   Obs.Counter.incr c_evaluations;
-  Truss.Maintain.k_truss_after_insert ~g:ctx.g ~old_truss:ctx.old_truss ~k:ctx.k ~inserted
+  let ov = Truss.Maintain.Overlay.of_graph ctx.g ~inserted ~deleted:[] in
+  (Truss.Maintain.level_delta ov ~in_old:(Hashtbl.mem ctx.old_truss) ~k:ctx.k).promoted
 
 let local_ctx ctx ~component =
   (* The scoring subgraph is wider than the conversion subgraph T_k ∪ E_c:
@@ -34,15 +37,20 @@ let local_ctx ctx ~component =
       if Hashtbl.mem ctx.old_truss key then Hashtbl.replace old_local key ());
   { g = h; k = ctx.k; old_truss = old_local }
 
-let score ctx inserted = List.length (evaluate ctx inserted).Truss.Maintain.promoted
+let score ctx inserted = List.length (evaluate ctx inserted)
 
 let evaluate_oracle g ~k ~inserted =
   Obs.Span.with_ "score.evaluate_oracle" @@ fun () ->
   let g' = Graph.copy g in
   List.iter (fun (u, v) -> if u <> v then ignore (Graph.add_edge g' u v)) inserted;
-  let before = Truss.Truss_query.k_truss_edges g ~k in
-  let after = Truss.Truss_query.k_truss_edges g' ~k in
-  Hashtbl.fold (fun key () acc -> if Hashtbl.mem before key then acc else acc + 1) after 0
+  let before = Truss.Decompose.run g and after = Truss.Decompose.run g' in
+  let count = ref 0 in
+  Truss.Decompose.iter after (fun key tau ->
+      if tau >= k then
+        match Truss.Decompose.trussness_opt before key with
+        | Some t when t >= k -> ()
+        | _ -> incr count);
+  !count
 
 let pairs_of_keys keys = List.map Edge_key.endpoints keys
 

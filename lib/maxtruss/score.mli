@@ -10,18 +10,22 @@
 open Graphcore
 
 type ctx = {
-  g : Graph.t;  (** the working graph; mutated only transiently *)
+  g : Graph.t;  (** the working graph; scoring only reads it *)
   k : int;
   old_truss : (Edge_key.t, unit) Hashtbl.t;  (** k-truss edge set of [g] *)
 }
 
-val make_ctx : Graph.t -> k:int -> ctx
-(** Computes the baseline k-truss.  The context stays valid until [g] is
+val make_ctx : ?dec:Truss.Decompose.t -> Graph.t -> k:int -> ctx
+(** Reads the baseline k-truss off [dec], the decomposition of [g]
+    (computed when absent).  The context stays valid until [g] is
     permanently mutated; rebuild it after committing insertions. *)
 
-val evaluate : ctx -> (int * int) list -> Truss.Maintain.delta
-(** Incremental evaluation of a candidate insertion (graph restored before
-    returning). *)
+val evaluate : ctx -> (int * int) list -> Edge_key.t list
+(** The edges a candidate insertion promotes into the k-truss (inserted
+    edges that make it included), via {!Truss.Maintain.level_delta} over
+    an overlay of [ctx.g]; neither [ctx.g] nor [ctx.old_truss] is
+    written.  Self-loops, pairs already in [ctx.g] and repeats in either
+    orientation are ignored. *)
 
 val local_ctx : ctx -> component:Edge_key.t list -> ctx
 (** Context restricted to one component's neighborhood [H = T_k ∪ E_c]
@@ -32,11 +36,14 @@ val local_ctx : ctx -> component:Edge_key.t list -> ctx
     edges between [H]'s nodes (all plans produced by this library do). *)
 
 val score : ctx -> (int * int) list -> int
-(** [List.length (evaluate ctx p).promoted]. *)
+(** [List.length (evaluate ctx p)]. *)
 
 val evaluate_oracle : Graph.t -> k:int -> inserted:(int * int) list -> int
-(** Independent full recomputation on a copy — the test oracle for
-    {!evaluate}. *)
+(** Independent full recomputation — the test oracle for {!evaluate} and
+    the verified score of every outcome: decomposes [g] and [g] plus
+    [inserted], and counts the edges with trussness at least [k] after
+    that were below [k] before.  Shares no code with the incremental
+    kernel. *)
 
 val pairs_of_keys : Edge_key.t list -> (int * int) list
 val keys_of_pairs : (int * int) list -> Edge_key.t list

@@ -25,7 +25,7 @@ let maximize ~g ~k ~budget ~cost ?(seed = 42) () =
   let t0 = Unix.gettimeofday () in
   let dec = Truss.Decompose.run g in
   let comps = Truss.Connectivity.components ~g ~dec ~lo:(k - 1) ~hi:k in
-  let ctx = Score.make_ctx g ~k in
+  let ctx = Score.make_ctx ~dec g ~k in
   let config = Pcfr.default_config ~k ~budget in
   let rng = Rng.create seed in
   let revenues =

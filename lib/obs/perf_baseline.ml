@@ -20,11 +20,9 @@ type t = {
 
 let schema_name = "maxtruss-perf-baseline"
 
-(* v2 adds the optional per-entry "tol" override and gates on alloc_w; v3
-   adds the bounded "history" of previous runs so the gate can compare
-   against a trend instead of one snapshot.  v1 files (no "tol" anywhere)
-   and v2 files (no "history") are still read, defaulting the override to
-   the comparator's global tolerance and the history to empty. *)
+(* v3: per-entry "tol" override, alloc_w gate and the bounded "history"
+   of previous runs, so the gate can compare against a trend instead of
+   one snapshot.  Only v3 is read. *)
 let schema_version = 3
 
 let default_history_limit = 8
@@ -111,22 +109,18 @@ let of_json s =
     | Some (Some schema), _ when schema <> schema_name ->
       Error (Printf.sprintf "schema mismatch: expected %S, got %S" schema_name schema)
     | None, _ | Some None, _ -> Error "schema mismatch: missing \"schema\" field"
-    | _, v
-      when (let ver = Json_min.num_or (-1.) v in
-            ver < 1.
-            || ver > float_of_int schema_version
-            || Float.rem ver 1. <> 0.) ->
+    | _, v when Json_min.num_or (-1.) v <> float_of_int schema_version ->
       Error
-        (Printf.sprintf "schema version mismatch: expected 1..%d, got %g" schema_version
+        (Printf.sprintf "schema version mismatch: expected %d, got %g" schema_version
            (Json_min.num_or (-1.) v))
     | _ -> (
       match Json_min.(member "entries" j |> Option.map to_arr) with
       | Some (Some items) -> (
         (* Every malformed entry reports one line of context: which run
            ([ctx]), which kernel (name, or position when the name itself
-           is missing) and which field.  Fields absent entirely still
-           default (v1/v2 compatibility); fields present with the wrong
-           type are an error, not a silent zero. *)
+           is missing) and which field.  Fields absent entirely
+           default; fields present with the wrong type are an error, not
+           a silent zero. *)
         let parse_entry ~ctx i it =
           match Json_min.(member "name" it |> Option.map to_str) with
           | None | Some None ->

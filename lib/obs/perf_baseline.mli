@@ -59,14 +59,14 @@ val of_samples : ?tol:float -> name:string -> ns:float array -> alloc_w:float ar
 val to_json : t -> string
 
 val of_json : string -> (t, string) result
-(** Rejects a wrong [schema] and any [version] outside [1..schema_version]
-    (mismatch is an [Error], never a silent best-effort parse).  Version-1
-    files parse with [tol = None] on every entry.
+(** Rejects a wrong [schema] and any [version] other than
+    {!schema_version} (mismatch is an [Error], never a silent best-effort
+    parse).
 
     A malformed entry is a one-line [Error] naming the offending kernel
     and field — e.g. [history run 2: kernel "decompose": field "mad_ns" is
     not a number] — rather than a silent default; fields that are absent
-    entirely still default for v1/v2 compatibility. *)
+    entirely default ([tol] to [None], [history] to empty). *)
 
 val write : string -> t -> unit
 (** May raise [Sys_error]; drivers catch it and exit 1. *)

@@ -32,8 +32,8 @@ val make :
 
 val graph : t -> Graph.t
 (** The epoch's graph.  {b Read-only:} mutating it corrupts every reader
-    of this epoch; callers that need a mutable graph (e.g. the maximize
-    algorithms' mutate-and-restore internals) must {!Graph.copy} it. *)
+    of this epoch; callers that need a mutable graph must {!Graph.copy}
+    it. *)
 
 val csr : t -> Csr.t
 val decompose : t -> Truss.Decompose.t

@@ -260,9 +260,8 @@ let handle_read ~epoch req =
     Buffer.add_string b "]}"
   | Maximize { k; budget; algo; seed; g_probes } ->
     header "maximize";
-    (* The maximization internals mutate-and-restore their input graph, so
-       they must never see the shared epoch graph directly. *)
-    let g = Graph.copy (Epoch.graph epoch) in
+    (* Read-only on the epoch graph: PCFR commits into its own copy. *)
+    let g = Epoch.graph epoch in
     let run = match algo with Pcfr -> Maxtruss.Pcfr.pcfr | Pcf -> Maxtruss.Pcfr.pcf | Pcr -> Maxtruss.Pcfr.pcr in
     let res = run ~seed ?g_probes ~g ~k ~budget () in
     let inserted =

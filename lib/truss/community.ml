@@ -1,7 +1,7 @@
 open Graphcore
 
 let communities g ~query ~k =
-  let truss = Truss_query.k_truss_edges g ~k in
+  let truss = Decompose.truss_edge_table (Decompose.run g) k in
   (* Seed edges: the query's incident truss edges. *)
   let seeds = ref [] in
   Graph.iter_neighbors g query (fun w ->

@@ -1,228 +1,121 @@
 open Graphcore
 
-type delta = { promoted : Edge_key.t list; new_size : int }
-
-let k_truss_after_insert ~g ~old_truss ~k ~inserted =
-  let threshold = k - 2 in
-  (* Temporarily apply the insertions; undo before returning. *)
-  let applied =
-    List.filter_map
-      (fun (u, v) -> if u <> v && Graph.add_edge g u v then Some (u, v) else None)
-      inserted
-  in
-  let finish promoted =
-    List.iter (fun (u, v) -> ignore (Graph.remove_edge g u v)) applied;
-    { promoted; new_size = Hashtbl.length old_truss + List.length promoted }
-  in
-  if applied = [] then finish []
-  else begin
-    let in_old key = Hashtbl.mem old_truss key in
-    (* Region growth: BFS over triangle adjacency from the inserted edges.
-       Every promoted edge is triangle-connected to an inserted edge through
-       triangles lying inside the new truss, so it suffices to walk
-       triangles all of whose edges pass the necessary membership filter
-       (support >= k - 2 in the updated graph, or already in the truss). *)
-    let filter_cache = Hashtbl.create 256 in
-    let passes key =
-      match Hashtbl.find_opt filter_cache key with
-      | Some b -> b
-      | None ->
-        let u, v = Edge_key.endpoints key in
-        let b =
-          in_old key
-          || (Graph.mem_edge g u v && Graph.count_common_neighbors g u v >= threshold)
-        in
-        Hashtbl.replace filter_cache key b;
-        b
-    in
-    let region = Hashtbl.create 64 in
-    let queue = Queue.create () in
-    let consider key =
-      if (not (Hashtbl.mem region key)) && (not (in_old key)) && passes key then begin
-        Hashtbl.replace region key ();
-        Queue.push key queue
-      end
-    in
-    List.iter (fun (u, v) -> consider (Edge_key.make u v)) applied;
-    while not (Queue.is_empty queue) do
-      let key = Queue.pop queue in
-      let u, v = Edge_key.endpoints key in
-      Graph.iter_common_neighbors g u v (fun w ->
-          let e1 = Edge_key.make u w and e2 = Edge_key.make v w in
-          (* Expand only through triangles that could lie in the new truss:
-             the companion edge must pass the filter too. *)
-          if passes e2 then consider e1;
-          if passes e1 then consider e2)
-    done;
-    (* Peel the region with the old truss as fixed backdrop: supports count
-       triangles whose other two edges are in (region ∪ old truss). *)
-    let present key = Hashtbl.mem region key || in_old key in
-    let sup = Hashtbl.create (Hashtbl.length region) in
-    Hashtbl.iter
-      (fun key () ->
-        let u, v = Edge_key.endpoints key in
-        let s = ref 0 in
-        Graph.iter_common_neighbors g u v (fun w ->
-            if present (Edge_key.make u w) && present (Edge_key.make v w) then incr s);
-        Hashtbl.replace sup key !s)
-      region;
-    let removal = Queue.create () in
-    let removed = Hashtbl.create 64 in
-    Hashtbl.iter (fun key s -> if s < threshold then Queue.push key removal) sup;
-    while not (Queue.is_empty removal) do
-      let key = Queue.pop removal in
-      if not (Hashtbl.mem removed key) then begin
-        Hashtbl.replace removed key ();
-        let u, v = Edge_key.endpoints key in
-        Graph.iter_common_neighbors g u v (fun w ->
-            let e1 = Edge_key.make u w and e2 = Edge_key.make v w in
-            let alive e =
-              in_old e || (Hashtbl.mem region e && not (Hashtbl.mem removed e))
-            in
-            (* Invariant: sup counts triangles whose other two edges are
-               alive, so a removal discounts a triangle exactly once. *)
-            if alive e1 && alive e2 then begin
-              let decr e =
-                if Hashtbl.mem region e && not (Hashtbl.mem removed e) then begin
-                  let s = Hashtbl.find sup e in
-                  Hashtbl.replace sup e (s - 1);
-                  if s - 1 < threshold then Queue.push e removal
-                end
-              in
-              decr e1;
-              decr e2
-            end)
-      end
-    done;
-    let promoted =
-      Hashtbl.fold (fun key () acc -> if Hashtbl.mem removed key then acc else key :: acc)
-        region []
-    in
-    finish promoted
-  end
-
-type delta_del = { demoted : Edge_key.t list; remaining : int }
-
-let k_truss_after_delete ~g ~old_truss ~k ~deleted =
-  let threshold = k - 2 in
-  let applied =
-    List.filter_map
-      (fun (u, v) -> if u <> v && Graph.remove_edge g u v then Some (u, v) else None)
-      deleted
-  in
-  let finish demoted =
-    List.iter (fun (u, v) -> ignore (Graph.add_edge g u v)) applied;
-    { demoted; remaining = Hashtbl.length old_truss - List.length demoted }
-  in
-  if applied = [] then finish []
-  else begin
-    (* Truss edges withdrawn outright by the deletion. *)
-    let removed = Hashtbl.create 16 in
-    List.iter
-      (fun (u, v) ->
-        let key = Edge_key.make u v in
-        if Hashtbl.mem old_truss key then Hashtbl.replace removed key ())
-      applied;
-    let alive key =
-      Hashtbl.mem old_truss key && (not (Hashtbl.mem removed key)) && Graph.mem_edge_key g key
-    in
-    (* Support of a truss edge counting only alive companions; always
-       recomputed against the current removal set, so no cache to keep
-       consistent. *)
-    let support key =
-      let u, v = Edge_key.endpoints key in
-      let s = ref 0 in
-      Graph.iter_common_neighbors g u v (fun w ->
-          if alive (Edge_key.make u w) && alive (Edge_key.make v w) then incr s);
-      !s
-    in
-    let queue = Queue.create () in
-    let enqueue_partners u v =
-      (* all alive truss edges that shared a triangle with (u, v): they just
-         lost one supporting triangle *)
-      let push key = if alive key then Queue.push key queue in
-      Graph.iter_neighbors g u (fun w -> if w <> v then push (Edge_key.make u w));
-      Graph.iter_neighbors g v (fun w -> if w <> u then push (Edge_key.make v w))
-    in
-    List.iter (fun (u, v) -> enqueue_partners u v) applied;
-    while not (Queue.is_empty queue) do
-      let key = Queue.pop queue in
-      if alive key && support key < threshold then begin
-        Hashtbl.replace removed key ();
-        let u, v = Edge_key.endpoints key in
-        enqueue_partners u v
-      end
-    done;
-    finish (Hashtbl.fold (fun key () acc -> key :: acc) removed [])
-  end
-
-let insert_and_decompose g edges =
-  List.iter (fun (u, v) -> if u <> v then ignore (Graph.add_edge g u v)) edges;
-  Decompose.run g
-
-(* ---------------------------------------------------------------------- *)
-(* CSR-backed pure batch maintenance.
-
-   The mutating entry points above are unusable under concurrent readers:
-   they temporarily edit the shared [Graph.t].  The service layer instead
-   works against a frozen {!Csr} snapshot plus a small functional overlay
-   describing the batch — base adjacency minus deleted edges plus inserted
-   ones — so the snapshot (and the graph it came from) is never touched. *)
+(* The batch never touches the graph it applies to: the base adjacency —
+   a frozen {!Csr} snapshot or a {!Graph.t} — stays as it is, and a small
+   functional overlay describes the batch (base minus deleted edges plus
+   inserted ones).  Scoring and the service's epochs can therefore keep
+   reading the base while a delta is computed against it. *)
 
 module Overlay = struct
+  type base = Csr of Csr.t | Graph of Graph.t
+
   type t = {
-    csr : Csr.t;
+    base : base;
+    inserted : (int * int) list;  (* normalised: absent from the base *)
+    deleted : (int * int) list;  (* normalised: present in the base *)
     ins : (int, int list) Hashtbl.t;  (* endpoint -> inserted neighbors *)
-    ins_set : (Edge_key.t, unit) Hashtbl.t;
+    ins_nodes : Bytes.t;  (* bit [u mod 4096] set for every key of [ins] *)
     del_set : (Edge_key.t, unit) Hashtbl.t;
   }
 
-  let make ~csr ~inserted ~deleted =
-    let ins = Hashtbl.create 16 in
-    let ins_set = Hashtbl.create 16 in
-    let del_set = Hashtbl.create 16 in
-    List.iter
-      (fun (u, v) ->
-        let key = Edge_key.make u v in
-        if not (Hashtbl.mem ins_set key) then begin
-          Hashtbl.replace ins_set key ();
-          let add a b =
-            Hashtbl.replace ins a (b :: Option.value ~default:[] (Hashtbl.find_opt ins a))
-          in
-          add u v;
-          add v u
-        end)
-      inserted;
-    List.iter (fun (u, v) -> Hashtbl.replace del_set (Edge_key.make u v) ()) deleted;
-    { csr; ins; ins_set; del_set }
+  let rec mem_int (w : int) = function [] -> false | x :: rest -> x = w || mem_int w rest
 
-  let deleted t key = Hashtbl.mem t.del_set key
+  let base_mem t u v =
+    match t.base with Csr c -> Csr.mem_edge c u v | Graph g -> Graph.mem_edge g u v
 
-  let mem t u v =
-    u <> v
-    &&
-    let key = Edge_key.make u v in
-    Hashtbl.mem t.ins_set key
-    || ((not (Hashtbl.mem t.del_set key)) && Csr.mem_edge t.csr u v)
+  (* Most nodes have no inserted edge; the bitmap answers that without a
+     hash probe. *)
+  let inserted_neighbors t u =
+    let i = u land 4095 in
+    if Char.code (Bytes.get t.ins_nodes (i lsr 3)) land (1 lsl (i land 7)) = 0 then []
+    else match Hashtbl.find t.ins u with vs -> vs | exception Not_found -> []
+
+  let build base ~inserted ~deleted =
+    let t =
+      {
+        base;
+        inserted = [];
+        deleted = [];
+        ins = Hashtbl.create 16;
+        ins_nodes = Bytes.make 512 '\000';
+        del_set = Hashtbl.create 16;
+      }
+    in
+    (* Keep the first occurrence of each pair the base can take: the level
+       delta relies on inserted edges being new and deleted ones present. *)
+    let deleted =
+      List.filter
+        (fun (u, v) ->
+          u <> v
+          && base_mem t u v
+          &&
+          let key = Edge_key.make u v in
+          (not (Hashtbl.mem t.del_set key)) && (Hashtbl.replace t.del_set key (); true))
+        deleted
+    in
+    let add a b =
+      Hashtbl.replace t.ins a (b :: inserted_neighbors t a);
+      let i = a land 4095 in
+      Bytes.set t.ins_nodes (i lsr 3)
+        (Char.chr (Char.code (Bytes.get t.ins_nodes (i lsr 3)) lor (1 lsl (i land 7))))
+    in
+    let inserted =
+      List.filter
+        (fun (u, v) ->
+          u <> v
+          && (not (base_mem t u v))
+          && (not (mem_int v (inserted_neighbors t u)))
+          && (add u v; add v u; true))
+        inserted
+    in
+    { t with inserted; deleted }
+
+  let make ~csr = build (Csr csr)
+
+  let of_graph g = build (Graph g)
+
+  let is_deleted t key = Hashtbl.length t.del_set > 0 && Hashtbl.mem t.del_set key
+
+  let deleted_edge t u v = Hashtbl.length t.del_set > 0 && Hashtbl.mem t.del_set (Edge_key.make u v)
+
+  (* A base edge the batch does not delete. *)
+  let live_base t u v = u <> v && base_mem t u v && not (deleted_edge t u v)
+
+  let mem t u v = live_base t u v || mem_int v (inserted_neighbors t u)
 
   let iter_neighbors t u f =
-    if Hashtbl.length t.del_set = 0 then Csr.iter_neighbors t.csr u f
-    else
-      Csr.iter_neighbors t.csr u (fun v ->
-          if not (Hashtbl.mem t.del_set (Edge_key.make u v)) then f v);
-    match Hashtbl.find_opt t.ins u with
-    | None -> ()
-    | Some vs -> List.iter f vs
+    let live v = if not (deleted_edge t u v) then f v in
+    (match t.base with Csr c -> Csr.iter_neighbors c u live | Graph g -> Graph.iter_neighbors g u live);
+    List.iter f (inserted_neighbors t u)
 
-  (* Upper bound on the post-batch degree, used only to pick the cheaper
-     iteration side. *)
-  let degree_hint t u =
-    Csr.degree t.csr u
-    + (match Hashtbl.find_opt t.ins u with Some l -> List.length l | None -> 0)
+  (* Over a graph base: every view neighbor of [a] that is one of [b]'s
+     too, probing [b]'s hash set as {!Graph.iter_common_neighbors} does. *)
+  let iter_graph_side t g f a ins_a b ins_b =
+    let probe w = if w <> b && (live_base t b w || mem_int w ins_b) then f w in
+    Graph.iter_neighbors g a
+      (if Hashtbl.length t.del_set = 0 then probe
+       else fun w -> if not (deleted_edge t a w) then probe w);
+    List.iter probe ins_a
 
+  (* Each base's own intersection.  Over a CSR: the sorted-row merge with
+     deleted sides skipped, then the triangles an inserted side closes,
+     once each — (u, w) inserted with (v, w) in the view, or (v, w)
+     inserted with (u, w) a live base edge.  Over a graph: iterate the
+     smaller side of the view, probe the other. *)
   let iter_common_neighbors t u v f =
-    let a, b = if degree_hint t u <= degree_hint t v then (u, v) else (v, u) in
-    iter_neighbors t a (fun w -> if w <> b && mem t b w then f w)
+    let ins_u = inserted_neighbors t u and ins_v = inserted_neighbors t v in
+    match t.base with
+    | Csr c ->
+      Csr.iter_common_neighbors c u v (fun w ->
+          if not (deleted_edge t u w || deleted_edge t v w) then f w);
+      List.iter (fun w -> if live_base t v w || mem_int w ins_v then f w) ins_u;
+      List.iter (fun w -> if live_base t u w then f w) ins_v
+    | Graph g when ins_u == [] && ins_v == [] && Hashtbl.length t.del_set = 0 ->
+      Graph.iter_common_neighbors g u v f
+    | Graph g ->
+      if Graph.degree g u + List.length ins_u <= Graph.degree g v + List.length ins_v then
+        iter_graph_side t g f u ins_u v ins_v
+      else iter_graph_side t g f v ins_v u ins_u
 
   let count_common_neighbors t u v =
     let c = ref 0 in
@@ -230,42 +123,47 @@ module Overlay = struct
     !c
 end
 
-type level_delta = { lvl_promoted : Edge_key.t list; lvl_demoted : Edge_key.t list }
+type level_delta = { promoted : Edge_key.t list; demoted : Edge_key.t list }
 
-(* One level of the batch: the k-truss delta going from the base graph G to
-   (G \ deleted) ∪ inserted, computed in two exact phases — the deletion
-   cascade of {!k_truss_after_delete} against the [ov_mid] view (G minus
-   the deletions), then the region-grow-and-peel of {!k_truss_after_insert}
-   against the [ov_full] view (deletions and insertions applied), with the
-   deletion survivors as the unpeelable backdrop. *)
-let level_delta_csr ~ov_mid ~ov_full ~tau ~k ~inserted ~deleted =
+(* The k-truss delta going from the base graph G to (G \ D) ∪ I, in two
+   exact phases (after Jakkula & Karypis, arXiv:1908.10550).  Deletions
+   only shrink the k-truss and every demoted edge is triangle-connected,
+   inside the old truss, to a deleted edge; insertions only grow it and
+   every promoted edge is triangle-connected, inside the new truss, to an
+   inserted edge.  So: (1) cascade the deletions through the old truss,
+   then (2) grow a region from the insertions over triangles that could
+   lie in the new truss and peel it with the deletion survivors as an
+   unpeelable backdrop.  Phase 1 may read the full view: the triangles an
+   inserted side adds never consist of old-truss edges alone. *)
+let level_delta (ov : Overlay.t) ~in_old ~k =
   let threshold = k - 2 in
-  let in_old key = tau key >= k in
   (* Phase 1: deletion cascade on G \ D. *)
   let removed = Hashtbl.create 16 in
-  if deleted <> [] then begin
+  if ov.deleted <> [] then begin
     List.iter
       (fun (u, v) ->
         let key = Edge_key.make u v in
         if in_old key then Hashtbl.replace removed key ())
-      deleted;
+      ov.deleted;
     let alive key =
-      in_old key && (not (Hashtbl.mem removed key)) && not (Overlay.deleted ov_mid key)
+      in_old key && (not (Hashtbl.mem removed key)) && not (Overlay.is_deleted ov key)
     in
     let support key =
       let u, v = Edge_key.endpoints key in
       let s = ref 0 in
-      Overlay.iter_common_neighbors ov_mid u v (fun w ->
+      Overlay.iter_common_neighbors ov u v (fun w ->
           if alive (Edge_key.make u w) && alive (Edge_key.make v w) then incr s);
       !s
     in
     let queue = Queue.create () in
+    (* every alive truss edge that shared a triangle with (u, v) just lost
+       one supporting triangle *)
     let enqueue_partners u v =
       let push key = if alive key then Queue.push key queue in
-      Overlay.iter_neighbors ov_mid u (fun w -> if w <> v then push (Edge_key.make u w));
-      Overlay.iter_neighbors ov_mid v (fun w -> if w <> u then push (Edge_key.make v w))
+      Overlay.iter_neighbors ov u (fun w -> if w <> v then push (Edge_key.make u w));
+      Overlay.iter_neighbors ov v (fun w -> if w <> u then push (Edge_key.make v w))
     in
-    List.iter (fun (u, v) -> enqueue_partners u v) deleted;
+    List.iter (fun (u, v) -> enqueue_partners u v) ov.deleted;
     while not (Queue.is_empty queue) do
       let key = Queue.pop queue in
       if alive key && support key < threshold then begin
@@ -278,11 +176,15 @@ let level_delta_csr ~ov_mid ~ov_full ~tau ~k ~inserted ~deleted =
   (* Phase 2: insertion growth + peel on (G \ D) ∪ I, with the deletion
      survivors as backdrop. *)
   let promoted =
-    if inserted = [] then []
+    if ov.inserted = [] then []
     else begin
-      let in_mid key =
-        in_old key && (not (Hashtbl.mem removed key)) && not (Overlay.deleted ov_full key)
+      let in_mid =
+        if ov.deleted = [] then in_old
+        else fun key ->
+          in_old key && (not (Hashtbl.mem removed key)) && not (Overlay.is_deleted ov key)
       in
+      (* Necessary condition for membership in the new truss: already a
+         survivor, or support >= k - 2 in the updated graph. *)
       let filter_cache = Hashtbl.create 256 in
       let passes key =
         match Hashtbl.find_opt filter_cache key with
@@ -291,8 +193,7 @@ let level_delta_csr ~ov_mid ~ov_full ~tau ~k ~inserted ~deleted =
           let u, v = Edge_key.endpoints key in
           let b =
             in_mid key
-            || (Overlay.mem ov_full u v
-               && Overlay.count_common_neighbors ov_full u v >= threshold)
+            || (Overlay.mem ov u v && Overlay.count_common_neighbors ov u v >= threshold)
           in
           Hashtbl.replace filter_cache key b;
           b
@@ -305,22 +206,26 @@ let level_delta_csr ~ov_mid ~ov_full ~tau ~k ~inserted ~deleted =
           Queue.push key queue
         end
       in
-      List.iter (fun (u, v) -> consider (Edge_key.make u v)) inserted;
+      List.iter (fun (u, v) -> consider (Edge_key.make u v)) ov.inserted;
       while not (Queue.is_empty queue) do
         let key = Queue.pop queue in
         let u, v = Edge_key.endpoints key in
-        Overlay.iter_common_neighbors ov_full u v (fun w ->
+        Overlay.iter_common_neighbors ov u v (fun w ->
             let e1 = Edge_key.make u w and e2 = Edge_key.make v w in
+            (* Expand only through triangles that could lie in the new
+               truss: the companion edge must pass the filter too. *)
             if passes e2 then consider e1;
             if passes e1 then consider e2)
       done;
+      (* Supports count triangles whose other two edges are in
+         (region ∪ survivors). *)
       let present key = Hashtbl.mem region key || in_mid key in
       let sup = Hashtbl.create (max 16 (Hashtbl.length region)) in
       Hashtbl.iter
         (fun key () ->
           let u, v = Edge_key.endpoints key in
           let s = ref 0 in
-          Overlay.iter_common_neighbors ov_full u v (fun w ->
+          Overlay.iter_common_neighbors ov u v (fun w ->
               if present (Edge_key.make u w) && present (Edge_key.make v w) then incr s);
           Hashtbl.replace sup key !s)
         region;
@@ -332,11 +237,11 @@ let level_delta_csr ~ov_mid ~ov_full ~tau ~k ~inserted ~deleted =
         if not (Hashtbl.mem peeled key) then begin
           Hashtbl.replace peeled key ();
           let u, v = Edge_key.endpoints key in
-          Overlay.iter_common_neighbors ov_full u v (fun w ->
+          Overlay.iter_common_neighbors ov u v (fun w ->
               let e1 = Edge_key.make u w and e2 = Edge_key.make v w in
-              let alive e =
-                in_mid e || (Hashtbl.mem region e && not (Hashtbl.mem peeled e))
-              in
+              let alive e = in_mid e || (Hashtbl.mem region e && not (Hashtbl.mem peeled e)) in
+              (* Invariant: sup counts triangles whose other two edges are
+                 alive, so a removal discounts a triangle exactly once. *)
               if alive e1 && alive e2 then begin
                 let decr e =
                   if Hashtbl.mem region e && not (Hashtbl.mem peeled e) then begin
@@ -355,10 +260,7 @@ let level_delta_csr ~ov_mid ~ov_full ~tau ~k ~inserted ~deleted =
         region []
     end
   in
-  {
-    lvl_promoted = promoted;
-    lvl_demoted = Hashtbl.fold (fun key () acc -> key :: acc) removed [];
-  }
+  { promoted; demoted = Hashtbl.fold (fun key () acc -> key :: acc) removed [] }
 
 type batch_result = {
   changes : (Edge_key.t * int option) list;
@@ -371,8 +273,8 @@ let c_region_edges = Obs.Counter.make "maintain.region_edges"
 
 let batch_update_csr ~csr ~tau ~kmax ~inserted ~deleted =
   Obs.Span.with_ "truss.maintain_batch" (fun () ->
-      let ov_mid = Overlay.make ~csr ~inserted:[] ~deleted in
-      let ov_full = Overlay.make ~csr ~inserted ~deleted in
+      let ov = Overlay.make ~csr ~inserted ~deleted in
+      let inserted = ov.Overlay.inserted and deleted = ov.Overlay.deleted in
       let tau0 key = match tau key with Some t -> t | None -> 0 in
       (* promo: edge -> highest level it was promoted at; demo: edge ->
          lowest level it was demoted at.  Demotions are monotone upward
@@ -383,24 +285,24 @@ let batch_update_csr ~csr ~tau ~kmax ~inserted ~deleted =
       let levels = ref 0 in
       let region_edges = ref 0 in
       let rec loop k =
-        let d = level_delta_csr ~ov_mid ~ov_full ~tau:tau0 ~k ~inserted ~deleted in
+        let d = level_delta ov ~in_old:(fun key -> tau0 key >= k) ~k in
         incr levels;
-        region_edges := !region_edges + List.length d.lvl_promoted + List.length d.lvl_demoted;
+        region_edges := !region_edges + List.length d.promoted + List.length d.demoted;
         List.iter
           (fun key ->
             match Hashtbl.find_opt promo key with
             | Some p when p >= k -> ()
             | _ -> Hashtbl.replace promo key k)
-          d.lvl_promoted;
+          d.promoted;
         List.iter
           (fun key ->
             match Hashtbl.find_opt demo key with
             | Some p when p <= k -> ()
             | _ -> Hashtbl.replace demo key k)
-          d.lvl_demoted;
+          d.demoted;
         (* Stop once the new k-truss is empty: beyond the old kmax the only
            members are promotions, so an empty promotion level ends it. *)
-        if k <= kmax || d.lvl_promoted <> [] then loop (k + 1)
+        if k <= kmax || d.promoted <> [] then loop (k + 1)
       in
       if inserted <> [] || deleted <> [] then loop 3;
       let changed = Hashtbl.create 64 in

@@ -1,120 +1,54 @@
-(** Incremental k-truss maintenance under edge insertions.
+(** Incremental k-truss maintenance under batches of edge insertions and
+    deletions.
 
-    Inserting edges can only grow the k-truss, and every promoted edge is
-    triangle-connected (inside the new truss) to some inserted edge.  So the
-    new truss can be computed exactly by (1) growing a candidate region from
-    the inserted edges over triangle adjacency, filtered to edges whose
-    support in the updated graph reaches [k - 2], then (2) peeling that
-    region with the old truss as an unpeelable backdrop.  This is the
-    verification primitive the maximization algorithms call in their inner
-    loops; a full {!Truss_query} pass over the updated graph gives the same
-    answer and is used as the test oracle. *)
+    One kernel serves every caller: {!level_delta} computes the k-truss
+    delta of a batch for one level [k], against a base adjacency that it
+    never writes — a frozen {!Csr} snapshot (the service's epochs) or a
+    {!Graph.t} (plan scoring).  Deletions only shrink the k-truss and
+    insertions only grow it, and every changed edge is triangle-connected
+    to a batch edge, so the work is proportional to the affected region,
+    not the graph.  {!batch_update_csr} stacks the levels into a delta of
+    the whole trussness function.  A full {!Decompose.run} of the updated
+    graph gives the same answer; the tests check against it and against a
+    definition-level oracle. *)
 
 open Graphcore
 
-type delta = {
-  promoted : Edge_key.t list;
-      (** edges of the new k-truss that were not in the old one (inserted
-          edges that made it into the truss included) *)
-  new_size : int;  (** total edge count of the new k-truss *)
-}
+(** The functional adjacency view the kernel peels against: a base plus
+    insertion and deletion sets.  Building one never copies or mutates
+    the base; the base must not change while the view is in use.
 
-type delta_del = {
-  demoted : Edge_key.t list;
-      (** edges of the old k-truss no longer in the new one (deleted truss
-          edges included) *)
-  remaining : int;  (** total edge count of the new k-truss *)
-}
-
-val k_truss_after_insert :
-  g:Graph.t ->
-  old_truss:(Edge_key.t, unit) Hashtbl.t ->
-  k:int ->
-  inserted:(int * int) list ->
-  delta
-(** [g] must be the graph {e without} the inserted edges; it is mutated
-    during the computation but restored before returning.  [old_truss] must
-    be the k-truss edge set of [g].  Inserted pairs already present in [g]
-    are ignored.
-
-    {b Warning — not safe under sharing:} because [g] is temporarily
-    mutated (edges inserted, then removed again), no other code may read
-    [g] concurrently, and a raised exception from a malformed input leaves
-    [g] with the batch applied.  Call sites that share the graph across
-    domains — the service layer's epoch snapshots in particular — must use
-    {!batch_update_csr}, which never touches the graph. *)
-
-val k_truss_after_delete :
-  g:Graph.t ->
-  old_truss:(Edge_key.t, unit) Hashtbl.t ->
-  k:int ->
-  deleted:(int * int) list ->
-  delta_del
-(** Symmetric to insertion: deletions only shrink the k-truss, and every
-    demoted edge is triangle-connected (inside the old truss) to a deleted
-    edge, so growing a region from the deletions and peeling it against the
-    untouched remainder is exact.  [g] must be the graph {e with} the edges
-    still present; it is mutated during the computation but restored.
-    Deleted pairs absent from [g] are ignored.
-
-    {b Warning — not safe under sharing:} mutate-and-restore, same caveat
-    as {!k_truss_after_insert}; use {!batch_update_csr} when the graph is
-    visible to concurrent readers. *)
-
-val insert_and_decompose : Graph.t -> (int * int) list -> Decompose.t
-(** Reference path: mutate [g] by inserting the edges (permanently) and run
-    a full decomposition on the result. *)
-
-(** {2 Pure CSR-backed batch maintenance}
-
-    The entry point the service layer's mutation log uses: the base graph
-    stays frozen in a {!Csr} snapshot, the batch lives in a small
-    functional overlay (base adjacency minus deletions plus insertions),
-    and the whole trussness function is maintained — not just one k level.
-    Per level [k] the exact two-phase delta runs: the deletion cascade of
-    {!k_truss_after_delete} against [G \ deleted], then the
-    region-grow-and-peel of {!k_truss_after_insert} against
-    [(G \ deleted) ∪ inserted] with the deletion survivors as backdrop.
-    Levels ascend from 3 until the new k-truss is empty; work per level is
-    proportional to the affected region, not the graph. *)
-
-(** The functional adjacency view the batch maintenance peels against:
-    a frozen {!Csr} base plus insertion/deletion sets.  Exposed for tests
-    and for {!level_delta_csr}. *)
+    Both constructors normalise the batch: self-loops, inserted pairs
+    already in the base, deleted pairs absent from it and repeats (in
+    either orientation) are dropped. *)
 module Overlay : sig
   type t
 
   val make : csr:Csr.t -> inserted:(int * int) list -> deleted:(int * int) list -> t
+  (** View over a frozen snapshot. *)
 
-  val mem : t -> int -> int -> bool
-
-  val iter_neighbors : t -> int -> (int -> unit) -> unit
-
-  val iter_common_neighbors : t -> int -> int -> (int -> unit) -> unit
-
-  val count_common_neighbors : t -> int -> int -> int
+  val of_graph : Graph.t -> inserted:(int * int) list -> deleted:(int * int) list -> t
+  (** View over a mutable graph, read through {!Graph.mem_edge} and
+      {!Graph.iter_common_neighbors}; no snapshot is built. *)
 end
 
+(** Relative to the k-truss of the base minus the deletions, which for an
+    insert-only batch is the old k-truss itself.  In a mixed batch an edge
+    the deletions demote can come back through the insertions, and then
+    appears in both lists. *)
 type level_delta = {
-  lvl_promoted : Edge_key.t list;
-      (** edges of the new k-truss not in the old one *)
-  lvl_demoted : Edge_key.t list;
-      (** edges of the old k-truss not in the new one (deleted truss edges
-          included) *)
+  promoted : Edge_key.t list;
+      (** edges of the new k-truss that the deletions alone leave outside
+          it (inserted edges that made it into the truss included) *)
+  demoted : Edge_key.t list;
+      (** edges of the old k-truss that the deletions alone remove from it
+          (deleted truss edges included) *)
 }
 
-val level_delta_csr :
-  ov_mid:Overlay.t ->
-  ov_full:Overlay.t ->
-  tau:(Edge_key.t -> int) ->
-  k:int ->
-  inserted:(int * int) list ->
-  deleted:(int * int) list ->
-  level_delta
-(** One level of {!batch_update_csr}, exposed for tests.  [ov_mid] must be
-    the overlay with only the deletions applied, [ov_full] the one with
-    deletions and insertions; [tau] the base graph's trussness (0 for
-    absent edges). *)
+val level_delta : Overlay.t -> in_old:(Edge_key.t -> bool) -> k:int -> level_delta
+(** The k-truss delta of the overlay's batch.  [in_old] must be the
+    k-truss membership of the base graph.  Pure: neither the base nor
+    [in_old]'s backing store is written. *)
 
 type batch_result = {
   changes : (Edge_key.t * int option) list;
@@ -135,12 +69,9 @@ val batch_update_csr :
   inserted:(int * int) list ->
   deleted:(int * int) list ->
   batch_result
-(** Full-trussness delta of one batch against the frozen snapshot.
-
-    Preconditions (the mutation log normalizes raw batches to meet them):
-    [inserted] edges are absent from the snapshot, [deleted] edges present,
-    the two lists are disjoint and duplicate-free, and no pair is a
-    self-loop.  [tau] is the base trussness ([None] for absent edges),
-    [kmax] its maximum.  Pure: neither the snapshot nor any graph is
-    mutated, so any number of readers may keep querying the base epoch
-    while this runs. *)
+(** Full-trussness delta of one batch against the frozen snapshot: runs
+    {!level_delta} over {!Overlay.make} for ascending [k] from 3 until the
+    new k-truss is empty.  [tau] is the base trussness ([None] for absent
+    edges), [kmax] its maximum; the batch is normalised as in {!Overlay}.
+    Pure: neither the snapshot nor any graph is mutated, so any number of
+    readers may keep querying the base epoch while this runs. *)

@@ -103,6 +103,19 @@ let oracle_trussness g =
   done;
   tau
 
+(* The k-truss edge set according to [oracle_trussness]. *)
+let oracle_k_truss g ~k =
+  let truss = Hashtbl.create 64 in
+  Hashtbl.iter (fun key tau -> if tau >= k then Hashtbl.replace truss key ()) (oracle_trussness g);
+  truss
+
+(* Is [g] its own k-truss: does every edge lie in at least k - 2 of its
+   triangles? *)
+let is_k_truss g ~k =
+  let ok = ref true in
+  Graph.iter_edges g (fun u v -> if Truss.Support.of_edge g u v < k - 2 then ok := false);
+  !ok
+
 (* Definition-level onion layers (Definitions 5 and 8): synchronous rounds
    on a copy of [h].  Round [l] removes every remaining candidate whose
    support in the current graph is below [k - 2] and records [l] as its

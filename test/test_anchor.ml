@@ -4,8 +4,8 @@ open Maxtruss
 let test_no_anchors_is_plain_truss () =
   let g = Helpers.fig1 () in
   let anchored = Anchor.anchored_k_truss g ~k:4 ~anchors:[] in
-  let plain = Truss.Truss_query.k_truss_edges g ~k:4 in
-  Alcotest.(check int) "same size" (Hashtbl.length plain) (Hashtbl.length anchored)
+  let plain = Truss.Decompose.truss_edges (Truss.Decompose.run g) 4 in
+  Alcotest.(check int) "same size" (List.length plain) (Hashtbl.length anchored)
 
 let test_anchor_keeps_incident_edges () =
   (* anchoring f=5 exempts C1's edges at f from peeling *)

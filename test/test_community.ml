@@ -54,7 +54,7 @@ let prop_community_is_truss =
       List.for_all
         (fun comm ->
           let sub = Graph.of_edge_keys comm in
-          Truss.Truss_query.is_k_truss sub ~k)
+          Helpers.is_k_truss sub ~k)
         (Truss.Community.communities g ~query ~k))
 
 let prop_communities_touch_query =

@@ -76,9 +76,8 @@ let prop_conversion_always_verifies =
       List.for_all
         (fun comp ->
           let conv = Convert.convert ~ctx ~target:comp () in
-          let delta = Score.evaluate ctx conv.Convert.plan in
           let promoted = Hashtbl.create 16 in
-          List.iter (fun e -> Hashtbl.replace promoted e ()) delta.Truss.Maintain.promoted;
+          List.iter (fun e -> Hashtbl.replace promoted e ()) (Score.evaluate ctx conv.Convert.plan);
           List.for_all (fun key -> Hashtbl.mem promoted key) comp)
         comps)
 

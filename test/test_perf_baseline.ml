@@ -79,26 +79,29 @@ let test_roundtrip () =
         | _ -> Alcotest.failf "tol lost in roundtrip for %s" a.Perf_baseline.name))
       t.Perf_baseline.entries t'.Perf_baseline.entries
 
-(* Version-1 files (no "tol" fields) must still parse. *)
-let test_v1_compat () =
-  match
-    Perf_baseline.of_json
-      "{\"schema\": \"maxtruss-perf-baseline\", \"version\": 1, \"entries\": [\n\
-      \  { \"name\": \"k\", \"median_ns\": 10.5, \"mad_ns\": 1.0, \"samples\": 7, \
-       \"alloc_w\": 128 } ] }"
-  with
-  | Error e -> Alcotest.failf "v1 parse failed: %s" e
-  | Ok t ->
-    (match t.Perf_baseline.entries with
-    | [ e ] ->
-      Alcotest.(check string) "name" "k" e.Perf_baseline.name;
-      check_feq "median" 10.5 e.Perf_baseline.median_ns;
-      Alcotest.(check bool) "tol defaults to None" true (e.Perf_baseline.tol = None)
-    | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l))
-
 let expect_error msg = function
   | Ok _ -> Alcotest.failf "%s: expected an error" msg
   | Error e -> Alcotest.(check bool) (msg ^ " mentions cause") true (String.length e > 0)
+
+(* Only v3 is read: an otherwise well-formed document of an older version
+   gets the version-mismatch error, not a best-effort parse. *)
+let expect_version_mismatch version =
+  match
+    Perf_baseline.of_json
+      (Printf.sprintf
+         "{\"schema\": \"maxtruss-perf-baseline\", \"version\": %d, \"entries\": [\n\
+         \  { \"name\": \"k\", \"median_ns\": 10.5, \"mad_ns\": 1.0, \"samples\": 7, \
+          \"alloc_w\": 128 } ] }"
+         version)
+  with
+  | Ok _ -> Alcotest.failf "v%d document accepted" version
+  | Error e ->
+    Alcotest.(check bool)
+      (Printf.sprintf "v%d: version mismatch in %S" version e)
+      true
+      (Helpers.contains e "schema version mismatch")
+
+let test_v1_compat () = expect_version_mismatch 1
 
 let test_schema_rejection () =
   expect_error "version mismatch"
@@ -106,11 +109,11 @@ let test_schema_rejection () =
        "{\"schema\": \"maxtruss-perf-baseline\", \"version\": 99, \"entries\": []}");
   expect_error "wrong schema name"
     (Perf_baseline.of_json
-       "{\"schema\": \"something-else\", \"version\": 1, \"entries\": []}");
+       "{\"schema\": \"something-else\", \"version\": 3, \"entries\": []}");
   expect_error "missing schema" (Perf_baseline.of_json "{\"entries\": []}");
   expect_error "not json" (Perf_baseline.of_json "not json at all");
   expect_error "missing entries"
-    (Perf_baseline.of_json "{\"schema\": \"maxtruss-perf-baseline\", \"version\": 1}");
+    (Perf_baseline.of_json "{\"schema\": \"maxtruss-perf-baseline\", \"version\": 3}");
   expect_error "unreadable file" (Perf_baseline.read "/nonexistent/path/baseline.json")
 
 (* --- comparator --- *)
@@ -315,15 +318,8 @@ let test_history_roundtrip () =
       Alcotest.(check bool) "per-entry tol survives inside history" true
         (e.Perf_baseline.tol = Some 0.5)
     | _ -> Alcotest.fail "history run shape");
-    (* v2 documents (no "history") read back with an empty history *)
-    let v2 =
-      "{\"schema\": \"maxtruss-perf-baseline\", \"version\": 2, \"entries\": [\n\
-      \  { \"name\": \"k\", \"median_ns\": 1, \"mad_ns\": 0, \"samples\": 1, \
-       \"alloc_w\": 0 } ] }"
-    in
-    (match Perf_baseline.of_json v2 with
-    | Ok t -> Alcotest.(check int) "v2 history empty" 0 (List.length t.Perf_baseline.history)
-    | Error e -> Alcotest.failf "v2 parse failed: %s" e);
+    (* v2 documents (no "history") are no longer read *)
+    expect_version_mismatch 2;
     (* malformed history shapes are rejected, not silently dropped *)
     expect_error "non-array history"
       (Perf_baseline.of_json

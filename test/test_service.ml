@@ -608,6 +608,7 @@ let test_telemetry_dark_zero_alloc () =
 let test_maximize_leaves_epoch_intact () =
   let epoch = Service.Epoch.create (Helpers.two_cliques_shared_edge ()) in
   let edges_before = Service.Epoch.num_edges epoch in
+  let graph_before = Graph.copy (Service.Epoch.graph epoch) in
   let req =
     Service.Request.Maximize
       { k = 5; budget = 4; algo = Service.Request.Pcfr; seed = 42; g_probes = None }
@@ -615,7 +616,9 @@ let test_maximize_leaves_epoch_intact () =
   let a = Service.Request.handle_read ~epoch req in
   let b = Service.Request.handle_read ~epoch req in
   Alcotest.(check string) "maximize deterministic" a b;
-  Alcotest.(check int) "epoch graph untouched" edges_before (Service.Epoch.num_edges epoch)
+  Alcotest.(check int) "epoch graph untouched" edges_before (Service.Epoch.num_edges epoch);
+  Alcotest.(check bool) "epoch graph edges unchanged" true
+    (Graph.equal graph_before (Service.Epoch.graph epoch))
 
 let suite =
   [

@@ -1,61 +1,24 @@
-open Graphcore
+(* Fixed-k k-truss queries: |T_k| read off one decomposition. *)
+
+let truss_size g ~k = List.length (Truss.Decompose.truss_edges (Truss.Decompose.run g) k)
 
 let test_clique () =
   let g = Helpers.clique 5 in
-  Alcotest.(check int) "K5 5-truss" 10 (Truss.Truss_query.k_truss_size g ~k:5);
-  Alcotest.(check int) "K5 6-truss empty" 0 (Truss.Truss_query.k_truss_size g ~k:6)
+  Alcotest.(check int) "K5 5-truss" 10 (truss_size g ~k:5);
+  Alcotest.(check int) "K5 6-truss empty" 0 (truss_size g ~k:6)
 
 let test_fig1 () =
   let g = Helpers.fig1 () in
-  Alcotest.(check int) "3-truss is whole graph" 22 (Truss.Truss_query.k_truss_size g ~k:3);
-  Alcotest.(check int) "4-truss is K5" 10 (Truss.Truss_query.k_truss_size g ~k:4)
+  Alcotest.(check int) "3-truss is whole graph" 22 (truss_size g ~k:3);
+  Alcotest.(check int) "4-truss is K5" 10 (truss_size g ~k:4)
 
 let test_k2_everything () =
   let g = Helpers.path 5 in
-  Alcotest.(check int) "2-truss keeps all edges" 4 (Truss.Truss_query.k_truss_size g ~k:2)
-
-let test_is_k_truss () =
-  Alcotest.(check bool) "K4 is a 4-truss" true (Truss.Truss_query.is_k_truss (Helpers.clique 4) ~k:4);
-  Alcotest.(check bool) "K4 is not a 5-truss" false
-    (Truss.Truss_query.is_k_truss (Helpers.clique 4) ~k:5)
-
-let test_non_destructive () =
-  let g = Helpers.fig1 () in
-  ignore (Truss.Truss_query.k_truss g ~k:4);
-  Alcotest.(check int) "graph untouched" 22 (Graph.num_edges g)
-
-let prop_matches_decompose =
-  QCheck2.Test.make ~name:"k_truss_edges equals {e | tau(e) >= k}" ~count:80
-    (Helpers.random_graph_gen ())
-    (fun edges ->
-      QCheck2.assume (edges <> []);
-      let g = Graph.of_edges edges in
-      let dec = Truss.Decompose.run g in
-      let ok = ref true in
-      for k = 2 to Truss.Decompose.kmax dec + 1 do
-        let direct = Truss.Truss_query.k_truss_edges g ~k in
-        let expected = Truss.Decompose.truss_edges dec k in
-        if Hashtbl.length direct <> List.length expected then ok := false;
-        List.iter (fun key -> if not (Hashtbl.mem direct key) then ok := false) expected
-      done;
-      !ok)
-
-let prop_result_is_truss =
-  QCheck2.Test.make ~name:"extracted k-truss satisfies the support bound" ~count:80
-    (Helpers.random_graph_gen ())
-    (fun edges ->
-      QCheck2.assume (edges <> []);
-      let g = Graph.of_edges edges in
-      let t = Truss.Truss_query.k_truss g ~k:4 in
-      Truss.Truss_query.is_k_truss t ~k:4)
+  Alcotest.(check int) "2-truss keeps all edges" 4 (truss_size g ~k:2)
 
 let suite =
   [
     Alcotest.test_case "clique" `Quick test_clique;
     Alcotest.test_case "fig1" `Quick test_fig1;
     Alcotest.test_case "k=2 keeps everything" `Quick test_k2_everything;
-    Alcotest.test_case "is_k_truss" `Quick test_is_k_truss;
-    Alcotest.test_case "non destructive" `Quick test_non_destructive;
-    Helpers.qtest prop_matches_decompose;
-    Helpers.qtest prop_result_is_truss;
   ]
