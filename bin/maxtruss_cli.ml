@@ -203,9 +203,9 @@ type span_row = {
   r_counters : (string * float) list;
 }
 
-(* Accepts a --metrics export (v1..v3; older rows default the alloc fields
-   and the v3 quantiles to 0) or a bench --json report carrying the same
-   object under "obs". *)
+(* Accepts a --metrics export (version 3 only) or a bench --json report
+   carrying the same object under "obs".  Optional per-row fields absent
+   from a row read as 0. *)
 let load_metrics path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
@@ -218,8 +218,12 @@ let load_metrics path =
         | Some o when Json_min.member "spans" o <> None -> o
         | _ -> j
       in
-      match Json_min.(member "schema" j |> Option.map to_str) with
-      | Some (Some "maxtruss-obs-metrics") -> (
+      match (Json_min.(member "schema" j |> Option.map to_str), Json_min.member "version" j) with
+      | Some (Some "maxtruss-obs-metrics"), v when Json_min.num_or (-1.) v <> 3. ->
+        Error
+          (Printf.sprintf "%s: metrics version mismatch: expected 3, got %g" path
+             (Json_min.num_or (-1.) v))
+      | Some (Some "maxtruss-obs-metrics"), _ -> (
         match Json_min.(member "spans" j |> Option.map to_arr) with
         | Some (Some spans) ->
           Ok

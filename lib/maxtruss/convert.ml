@@ -7,15 +7,11 @@ type outcome = {
 }
 
 let csup ~h targets =
-  (* [h] is still pristine here (insertions come later), so take one CSR
-     snapshot and answer every target with sorted-merge intersection instead
-     of per-neighbor hash probes. *)
-  let csr = Csr.of_graph h in
   let tbl = Hashtbl.create (max (List.length targets) 1) in
   List.iter
     (fun key ->
       let u, v = Edge_key.endpoints key in
-      Hashtbl.replace tbl key (Csr.count_common_neighbors csr u v))
+      Hashtbl.replace tbl key (Graph.count_common_neighbors h u v))
     targets;
   tbl
 
@@ -60,7 +56,7 @@ let apply_insertion ~h ~sup ~unstable ~threshold key =
    unstable targets, repeat until nothing helps.  Lazy greedy: coverage
    only shrinks as targets stabilize, so a stale max-heap refreshed at the
    top finds each round's winner with a handful of re-evaluations. *)
-let greedy_cover ~g ~h ~sup ~unstable ~threshold ~require_stable =
+let greedy_cover ~g ~h ~sup ~unstable ~threshold =
   let cmp (c1, s1, k1) (c2, s2, k2) =
     match Int.compare c2 c1 with
     | 0 -> ( match Int.compare s2 s1 with 0 -> Edge_key.compare k1 k2 | c -> c)
@@ -73,7 +69,7 @@ let greedy_cover ~g ~h ~sup ~unstable ~threshold ~require_stable =
       Hashtbl.replace queued cand ();
       let y, z = Edge_key.endpoints cand in
       let own_support = Graph.count_common_neighbors h y z in
-      if (not require_stable) || own_support >= threshold then begin
+      if own_support >= threshold then begin
         let cov = coverage ~h ~unstable cand in
         if cov > 0 then Min_heap.push heap (cov, own_support, cand)
       end
@@ -89,10 +85,7 @@ let greedy_cover ~g ~h ~sup ~unstable ~threshold ~require_stable =
     | Some (stale_cov, _, cand) ->
       let y, z = Edge_key.endpoints cand in
       let own_support = Graph.count_common_neighbors h y z in
-      let fresh =
-        if require_stable && own_support < threshold then 0
-        else coverage ~h ~unstable cand
-      in
+      let fresh = if own_support < threshold then 0 else coverage ~h ~unstable cand in
       if fresh = 0 then () (* drop *)
       else begin
         let next = match Min_heap.peek heap with Some (c, _, _) -> c | None -> 0 in
@@ -246,7 +239,7 @@ let convert ~ctx ~target ?node_pool () =
   let sup = csup ~h target in
   let unstable = Hashtbl.create 16 in
   Hashtbl.iter (fun key s -> if s < threshold then Hashtbl.replace unstable key ()) sup;
-  let plan = ref (greedy_cover ~g ~h ~sup ~unstable ~threshold ~require_stable:true) in
+  let plan = ref (greedy_cover ~g ~h ~sup ~unstable ~threshold) in
   let clique_fallbacks = ref 0 and greedy_fallbacks = ref 0 in
   (* Stragglers: cheapest of the two strategies, applied one target at a
      time (earlier fixes can stabilize later stragglers for free). *)

@@ -101,7 +101,7 @@ let flow_selections ~ctx ~dec ~config ~component =
   (dag, selections)
 
 (* Conversion + scoring of the sweep selections.  Reads [ctx] and [lctx]
-   without writing them; {!run} calls it on the main domain, in component
+   without writing them; {!menu} calls it on the main domain, in component
    order, after the rng-consuming random interpolation. *)
 let convert_selections ~ctx ~lctx ~budget (dag, selections) =
   List.filter_map
@@ -123,25 +123,33 @@ let convert_selections ~ctx ~lctx ~budget (dag, selections) =
       end)
     selections
 
-let flow_pairs ~ctx ~lctx ~dec ~config ~budget ~component =
-  convert_selections ~ctx ~lctx ~budget (flow_selections ~ctx ~dec ~config ~component)
-
-let component_revenue ~rng ~ctx ~dec ~config ~budget ~component =
-  Obs.Span.with_ "pcfr.component" @@ fun () ->
-  (* Plans are scored against the component-local subgraph: exact for the
-     promotions a component plan can cause, and far cheaper than scoring
-     against the whole graph. *)
+(* The two per-component phases, shared by {!run} and {!component_revenue}.
+   The scaffold phase (local scoring context, flow-network scaffolding)
+   reads [ctx]/[dec] only and draws no randomness, so {!run} maps it over
+   the components in parallel. *)
+let scaffold ~ctx ~dec ~config ~component =
   let lctx = Score.local_ctx ctx ~component in
+  let flow = if config.use_flow then Some (flow_selections ~ctx ~dec ~config ~component) else None in
+  (lctx, flow)
+
+(* The menu phase: random interpolation (the only rng consumer), then
+   conversion and scoring of the sweep selections.  Run it on one domain,
+   in component order, so the rng stream is drawn in a fixed order. *)
+let menu ~rng ~ctx ~config ~budget ~component (lctx, flow) =
   let random_pairs =
     if config.use_random then
       Random_interp.interpolate ~rng ~ctx:lctx ~component ~budget ~repeats:config.repeats
         ~forbidden:ctx.Score.g ()
     else []
   in
-  let flow =
-    if config.use_flow then flow_pairs ~ctx ~lctx ~dec ~config ~budget ~component else []
+  let flow_plans =
+    match flow with None -> [] | Some sc -> convert_selections ~ctx ~lctx ~budget sc
   in
-  Plan.normalize (random_pairs @ flow)
+  Plan.normalize (random_pairs @ flow_plans)
+
+let component_revenue ~rng ~ctx ~dec ~config ~budget ~component =
+  Obs.Span.with_ "pcfr.component" @@ fun () ->
+  menu ~rng ~ctx ~config ~budget ~component (scaffold ~ctx ~dec ~config ~component)
 
 let run config g =
   Obs.Span.with_
@@ -196,16 +204,11 @@ let run config g =
         let level_config =
           if !h > 1 && config.use_flow then { config with use_random = false } else config
         in
-        (* Two phases instead of one component_revenue pass, so independent
-           components parallelize without touching the shared rng:
-           phase 1 (parallel, read-only on [gw]/[dec]) builds each
-           component's local scoring context and flow-network scaffolding
-           (onion peel, block DAG, min-cut sweeps); phase 2 (main domain,
-           component order) runs the rng-consuming random interpolation —
-           drawing from the stream in exactly the sequential order — then
-           conversion and scoring.  Phase 2 is sequential only for that
-           rng order: scoring never writes a graph.  The concatenated plans
-           match the single-pass output verbatim. *)
+        (* {!component_revenue} split at its phase boundary, so independent
+           components parallelize without touching the shared rng: the
+           scaffold phase runs on the pool, the menu phase on the main
+           domain in component order.  The menus match component_revenue's
+           verbatim. *)
         let comps_arr = Array.of_list comps in
         let scaffolds =
           Par.parallel_map
@@ -213,38 +216,16 @@ let run config g =
               if over_time () then None
               else
                 Obs.Span.with_ "pcfr.component" @@ fun () ->
-                let lctx = Score.local_ctx ctx ~component in
-                let flow =
-                  if level_config.use_flow then
-                    Some (flow_selections ~ctx ~dec ~config:level_config ~component)
-                  else None
-                in
-                Some (lctx, flow))
+                Some (scaffold ~ctx ~dec ~config:level_config ~component))
             comps_arr
         in
         let revenues =
           Array.mapi
             (fun i scaffold ->
               match scaffold with
-              | None -> []
-              | Some (lctx, flow) ->
-                if over_time () then []
-                else begin
-                  let component = comps_arr.(i) in
-                  let random_pairs =
-                    if level_config.use_random then
-                      Random_interp.interpolate ~rng ~ctx:lctx ~component
-                        ~budget:!remaining ~repeats:level_config.repeats
-                        ~forbidden:ctx.Score.g ()
-                    else []
-                  in
-                  let flow_plans =
-                    match flow with
-                    | None -> []
-                    | Some sc -> convert_selections ~ctx ~lctx ~budget:!remaining sc
-                  in
-                  Plan.normalize (random_pairs @ flow_plans)
-                end)
+              | Some sc when not (over_time ()) ->
+                menu ~rng ~ctx ~config:level_config ~budget:!remaining ~component:comps_arr.(i) sc
+              | _ -> [])
             scaffolds
         in
         let plan_count = Array.fold_left (fun acc r -> acc + List.length r) 0 revenues in

@@ -4,27 +4,26 @@ type t = {
   graph : Graph.t;
   csr : Csr.t;
   dec : Truss.Decompose.t;
-  index : Truss.Index.t;
   generation : int;
   onion_memo : (int, (Edge_key.t * int) list * int) Hashtbl.t;
   memo_lock : Mutex.t;
 }
 
-let make ~graph ~csr ~dec ~index ~generation =
-  { graph; csr; dec; index; generation; onion_memo = Hashtbl.create 4; memo_lock = Mutex.create () }
+let make ~graph ~csr ~dec ~index:_ ~generation =
+  { graph; csr; dec; generation; onion_memo = Hashtbl.create 4; memo_lock = Mutex.create () }
+
+let of_graph ~generation graph =
+  let csr = Csr.of_graph graph in
+  let dec = Truss.Decompose.of_csr csr in
+  make ~graph ~csr ~dec ~index:dec ~generation
 
 let create ?(generation = 0) g =
-  Obs.Span.with_ "service.epoch_build" (fun () ->
-      let graph = Graph.copy g in
-      let csr = Csr.of_graph graph in
-      let dec = Truss.Decompose.run graph in
-      let index = Truss.Index.build dec in
-      make ~graph ~csr ~dec ~index ~generation)
+  Obs.Span.with_ "service.epoch_build" (fun () -> of_graph ~generation (Graph.copy g))
 
 let graph t = t.graph
 let csr t = t.csr
 let decompose t = t.dec
-let index t = t.index
+let index t = t.dec
 let generation t = t.generation
 let num_nodes t = Csr.num_nodes t.csr
 let num_edges t = Csr.num_edges t.csr

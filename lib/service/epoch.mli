@@ -1,6 +1,7 @@
 (** A frozen, self-consistent snapshot of the service's graph state: the
-    graph, its {!Graphcore.Csr} snapshot, the full truss decomposition, the
-    query index, and a monotonically increasing generation stamp.
+    graph, its {!Graphcore.Csr} snapshot, the truss decomposition (which
+    also answers the ordered truss queries), and a monotonically
+    increasing generation stamp.
 
     Epochs are immutable after construction — every field is read-only from
     the moment a {!Store} publishes one, so any number of reader domains
@@ -15,8 +16,12 @@ type t
 
 val create : ?generation:int -> Graph.t -> t
 (** Freeze a graph into a fresh epoch: copies [g] (the caller's graph is
-    never retained), builds the CSR snapshot, runs a full decomposition and
-    builds the index.  [generation] defaults to 0. *)
+    never retained), then {!of_graph}.  [generation] defaults to 0. *)
+
+val of_graph : generation:int -> Graph.t -> t
+(** Build an epoch around [graph]: one CSR snapshot, decomposed in place
+    ({!Truss.Decompose.of_csr}).  Ownership of [graph] transfers to the
+    epoch: the caller must never mutate it afterwards. *)
 
 val make :
   graph:Graph.t ->
@@ -27,8 +32,12 @@ val make :
   t
 (** Assemble an epoch from parts the caller has already built (the
     mutation log's incremental path).  Ownership of [graph] transfers to
-    the epoch: the caller must never mutate it afterwards, and [csr],
-    [dec] and [index] must all describe exactly [graph]'s edge set. *)
+    the epoch: the caller must never mutate it afterwards, and [csr] and
+    [dec] must describe exactly [graph]'s edge set.
+
+    [~index] selects nothing: the decomposition is the index, and the
+    label is kept solely for the frozen benchmark call site in
+    [perfbench/publish_wl.ml]. Other callers pass [~index:dec]. *)
 
 val graph : t -> Graph.t
 (** The epoch's graph.  {b Read-only:} mutating it corrupts every reader
@@ -37,7 +46,11 @@ val graph : t -> Graph.t
 
 val csr : t -> Csr.t
 val decompose : t -> Truss.Decompose.t
+
 val index : t -> Truss.Index.t
+(** {!decompose}; kept solely for the frozen benchmark call site in
+    [perfbench/publish_wl.ml]. *)
+
 val generation : t -> int
 val num_nodes : t -> int
 val num_edges : t -> int

@@ -89,7 +89,7 @@ let apply ?(config = default_config) store ops =
                 (* Pure no-op batch: share every structure, just restamp. *)
                 let e =
                   Epoch.make ~graph:(Epoch.graph epoch) ~csr:(Epoch.csr epoch)
-                    ~dec:(Epoch.decompose epoch) ~index:(Epoch.index epoch) ~generation
+                    ~dec:(Epoch.decompose epoch) ~index:(Epoch.decompose epoch) ~generation
                 in
                 (e, false, 0, 0)
               else begin
@@ -102,10 +102,7 @@ let apply ?(config = default_config) store ops =
                   Atomic.incr fallbacks;
                   let e =
                     Obs.Span.with_ "service.full_rebuild" (fun () ->
-                        let csr = Csr.of_graph graph in
-                        let dec = Truss.Decompose.run graph in
-                        let index = Truss.Index.build dec in
-                        Epoch.make ~graph ~csr ~dec ~index ~generation)
+                        Epoch.of_graph ~generation graph)
                   in
                   (e, true, 0, 0)
                 end
@@ -117,11 +114,8 @@ let apply ?(config = default_config) store ops =
                       ~kmax:(Truss.Decompose.kmax dec0) ~inserted:ins ~deleted:del
                   in
                   let dec = Truss.Decompose.patched dec0 ~changes:r.Truss.Maintain.changes in
-                  let index =
-                    Truss.Index.of_deltas (Epoch.index epoch) ~changes:r.Truss.Maintain.changes
-                  in
                   let csr = Csr.of_graph graph in
-                  let e = Epoch.make ~graph ~csr ~dec ~index ~generation in
+                  let e = Epoch.make ~graph ~csr ~dec ~index:dec ~generation in
                   (e, false, r.Truss.Maintain.levels, r.Truss.Maintain.region_edges)
                 end
               end

@@ -5,9 +5,9 @@
     ones, self-loops, duplicates and no-ops dropped — into the net
     insertion/deletion sets {!Truss.Maintain.batch_update_csr} requires.
     Small batches then go through the incremental maintenance path
-    (trussness deltas patched into the decomposition and index, no
-    re-peeling); batches touching more than [fallback_fraction] of the
-    snapshot's edges fall back to a full {!Truss.Decompose.run} rebuild,
+    (trussness deltas patched into the decomposition, no re-peeling);
+    batches touching more than [fallback_fraction] of the snapshot's edges
+    fall back to a full rebuild ({!Epoch.of_graph}),
     counted by [service.maintain_fallbacks].  Either way a fresh epoch is
     published with [generation + 1]; readers of the old epoch are
     untouched. *)

@@ -234,7 +234,8 @@ let handle_read ~epoch req =
         if i > 0 then Buffer.add_char b ',';
         let tau =
           if u <> v && u >= 0 && v >= 0 && u < Edge_key.max_node && v < Edge_key.max_node then
-            Option.value ~default:0 (Truss.Index.trussness (Epoch.index epoch) (Edge_key.make u v))
+            Option.value ~default:0
+              (Truss.Decompose.trussness_opt (Epoch.decompose epoch) (Edge_key.make u v))
           else 0
         in
         Buffer.add_string b (Printf.sprintf "[%d,%d,%d]" u v tau))
@@ -242,7 +243,9 @@ let handle_read ~epoch req =
     Buffer.add_string b "]}"
   | Truss_query { k; limit } ->
     header "truss-query";
-    let edges = Truss.Index.truss_edges (Epoch.index epoch) k |> List.sort Edge_key.compare in
+    let edges =
+      Truss.Decompose.truss_edges (Epoch.decompose epoch) k |> List.sort Edge_key.compare
+    in
     Buffer.add_string b (Printf.sprintf ",\"k\":%d,\"size\":%d,\"edges\":" k (List.length edges));
     buf_pairs b (truncate limit edges |> List.map Edge_key.endpoints);
     Buffer.add_char b '}'

@@ -1,68 +1,3 @@
-open Graphcore
+type t = Decompose.t
 
-type t = {
-  edges : Edge_key.t array;  (** sorted by trussness descending *)
-  tau_of : (Edge_key.t, int) Hashtbl.t;
-  offsets : int array;  (** offsets.(k) = number of edges with tau >= k *)
-  kmax : int;
-}
-
-(* Shared constructor: freeze a trussness table into the sorted-array /
-   offset representation.  [kmax] must be the maximum value in the table
-   (0 when empty). *)
-let of_table tau_of ~kmax =
-  let n = Hashtbl.length tau_of in
-  let pairs = Array.make (max n 1) (0, 0) in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun key tau ->
-      pairs.(!i) <- (tau, key);
-      incr i)
-    tau_of;
-  let pairs = if n = 0 then [||] else pairs in
-  Array.sort (fun (t1, k1) (t2, k2) ->
-      match Int.compare t2 t1 with 0 -> Edge_key.compare k1 k2 | c -> c)
-    pairs;
-  let offsets = Array.make (kmax + 2) 0 in
-  (* count edges with tau >= k: sweep the sorted array *)
-  Array.iter (fun (tau, _) -> for k = 2 to min tau (kmax + 1) do offsets.(k) <- offsets.(k) + 1 done) pairs;
-  { edges = Array.map snd pairs; tau_of; offsets; kmax }
-
-let build dec =
-  let n = Decompose.num_edges dec in
-  let tau_of = Hashtbl.create (max n 1) in
-  Decompose.iter dec (fun key tau -> Hashtbl.replace tau_of key tau);
-  of_table tau_of ~kmax:(Decompose.kmax dec)
-
-let of_deltas t ~changes =
-  let tau_of = Hashtbl.copy t.tau_of in
-  List.iter
-    (fun (key, change) ->
-      match change with
-      | Some tau -> Hashtbl.replace tau_of key tau
-      | None -> Hashtbl.remove tau_of key)
-    changes;
-  let kmax = Hashtbl.fold (fun _ tau acc -> max tau acc) tau_of 0 in
-  of_table tau_of ~kmax
-
-let trussness t key = Hashtbl.find_opt t.tau_of key
-
-let kmax t = t.kmax
-
-let truss_size t k =
-  if k <= 2 then Array.length t.edges
-  else if k > t.kmax then 0
-  else t.offsets.(k)
-
-let truss_edges t k =
-  let n = truss_size t k in
-  Array.to_list (Array.sub t.edges 0 n)
-
-let k_class t k =
-  if k > t.kmax || k < 2 then []
-  else begin
-    let upper = truss_size t k and inner = truss_size t (k + 1) in
-    Array.to_list (Array.sub t.edges inner (upper - inner))
-  end
-
-let class_bounds t = List.init (max 0 (t.kmax - 1)) (fun i -> (i + 2, truss_size t (i + 2)))
+let of_deltas = Decompose.patched

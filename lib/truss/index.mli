@@ -1,38 +1,11 @@
-(** Immutable trussness index for fast repeated truss queries.
-
-    A decomposition answers "which edges form the k-truss" by a linear
-    scan; the index sorts edges by trussness once so every later query is
-    O(answer).  PCFR's level loop and the community-search example issue
-    many such queries against the same decomposition. *)
+(** The trussness index now lives in {!Decompose}, beside the trussness
+    table it orders.  This module selects nothing: it is kept solely for
+    the frozen benchmark call site in [perfbench/publish_wl.ml]. Other
+    callers use {!Decompose} directly. *)
 
 open Graphcore
 
-type t
-
-val build : Decompose.t -> t
+type t = Decompose.t
 
 val of_deltas : t -> changes:(Edge_key.t * int option) list -> t
-(** Patched copy of the index: [(key, Some tau)] sets the edge's trussness
-    (inserting it when new), [(key, None)] removes the edge; [t] itself is
-    untouched.  [kmax] and the per-k offsets are recomputed from the
-    patched table, so the result answers every query exactly as
-    [build (Decompose.run g')] on the updated graph would — provided the
-    deltas came from a correct maintenance pass ({!Maintain}).  Cost is
-    O(m log m) for the resort — independent of how expensive the peeling
-    the deltas replaced would have been. *)
-
-val trussness : t -> Edge_key.t -> int option
-
-val kmax : t -> int
-
-val truss_edges : t -> int -> Edge_key.t list
-(** Edges with trussness at least [k], O(answer). *)
-
-val k_class : t -> int -> Edge_key.t list
-(** Edges with trussness exactly [k], O(answer). *)
-
-val truss_size : t -> int -> int
-(** |T_k| in O(1). *)
-
-val class_bounds : t -> (int * int) list
-(** [(k, |T_k|)] for every k from 2 to kmax. *)
+(** {!Decompose.patched}. *)

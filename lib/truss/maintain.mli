@@ -54,8 +54,7 @@ type batch_result = {
   changes : (Edge_key.t * int option) list;
       (** new trussness per changed edge — [(key, Some tau)] for edges
           whose trussness moved (inserted edges included), [(key, None)]
-          for deleted edges; feed to {!Index.of_deltas} /
-          {!Decompose.patched} *)
+          for deleted edges; feed to {!Decompose.patched} *)
   levels : int;  (** truss levels examined *)
   region_edges : int;
       (** total promoted + demoted edges across all levels — the size of

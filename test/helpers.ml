@@ -76,6 +76,33 @@ let clustered_graph_gen () =
   done;
   return !edges
 
+(* Random mutation batch against a [random_graph_gen] graph: raw
+   insertions plus picks among the graph's edges to delete. *)
+let batch_gen =
+  let open QCheck2.Gen in
+  let* edges = random_graph_gen () in
+  let* raw_ins = list_size (int_range 0 6) (pair (int_range 0 14) (int_range 0 14)) in
+  let* del_picks = list_size (int_range 0 4) (int_range 0 1_000_000) in
+  return (edges, raw_ins, del_picks)
+
+(* The graph edges [del_picks] select (with repeats). *)
+let picked_edges g del_picks =
+  let all_edges = Graph.edge_array g in
+  List.map (fun pick -> Edge_key.endpoints all_edges.(pick mod Array.length all_edges)) del_picks
+
+(* A [batch_gen] batch resolved against [g] into what
+   [Maintain.batch_update_csr] requires: insertions absent from [g],
+   deletions present in it, both disjoint, sorted and duplicate-free. *)
+let net_batch g (raw_ins, del_picks) =
+  let deleted = picked_edges g del_picks |> List.sort_uniq compare in
+  let inserted =
+    List.filter
+      (fun (u, v) -> u <> v && (not (Graph.mem_edge g u v)) && not (List.mem (min u v, max u v) deleted))
+      raw_ins
+    |> List.sort_uniq compare
+  in
+  (inserted, deleted)
+
 (* Naive trussness oracle: repeatedly extract the maximal subgraph whose
    edges all have support >= k - 2, for increasing k. *)
 let oracle_trussness g =

@@ -1,22 +1,59 @@
+(* The ordered views of a decomposition — truss_edges, k_class, truss_size,
+   class_sizes — after a full run and after a patch. *)
+
 open Graphcore
 
 let test_fig1_index () =
-  let g = Helpers.fig1 () in
-  let dec = Truss.Decompose.run g in
-  let idx = Truss.Index.build dec in
-  Alcotest.(check int) "kmax" 5 (Truss.Index.kmax idx);
-  Alcotest.(check int) "|T_3|" 22 (Truss.Index.truss_size idx 3);
-  Alcotest.(check int) "|T_4|" 10 (Truss.Index.truss_size idx 4);
-  Alcotest.(check int) "|T_5|" 10 (Truss.Index.truss_size idx 5);
-  Alcotest.(check int) "|T_6|" 0 (Truss.Index.truss_size idx 6);
-  Alcotest.(check int) "3-class size" 12 (List.length (Truss.Index.k_class idx 3));
+  let dec = Truss.Decompose.run (Helpers.fig1 ()) in
+  Alcotest.(check int) "kmax" 5 (Truss.Decompose.kmax dec);
+  Alcotest.(check int) "|T_2|" 22 (Truss.Decompose.truss_size dec 2);
+  Alcotest.(check int) "|T_3|" 22 (Truss.Decompose.truss_size dec 3);
+  Alcotest.(check int) "|T_4|" 10 (Truss.Decompose.truss_size dec 4);
+  Alcotest.(check int) "|T_5|" 10 (Truss.Decompose.truss_size dec 5);
+  Alcotest.(check int) "|T_6|" 0 (Truss.Decompose.truss_size dec 6);
+  Alcotest.(check int) "3-class size" 12 (List.length (Truss.Decompose.k_class dec 3));
+  Alcotest.(check (list (pair int int))) "class sizes" [ (3, 12); (5, 10) ]
+    (Truss.Decompose.class_sizes dec);
   Alcotest.(check (option int)) "edge lookup" (Some 3)
-    (Truss.Index.trussness idx (Edge_key.make 0 7))
+    (Truss.Decompose.trussness_opt dec (Edge_key.make 0 7))
 
 let test_empty_index () =
-  let idx = Truss.Index.build (Truss.Decompose.run (Graph.create ())) in
-  Alcotest.(check int) "kmax 0" 0 (Truss.Index.kmax idx);
-  Alcotest.(check (list (pair int int))) "no bounds" [] (Truss.Index.class_bounds idx)
+  let dec = Truss.Decompose.run (Graph.create ()) in
+  Alcotest.(check int) "kmax 0" 0 (Truss.Decompose.kmax dec);
+  Alcotest.(check (list (pair int int))) "no classes" [] (Truss.Decompose.class_sizes dec);
+  for k = 0 to 3 do
+    Alcotest.(check int) "no truss" 0 (Truss.Decompose.truss_size dec k);
+    Alcotest.(check (list int)) "no truss edges" [] (Truss.Decompose.truss_edges dec k);
+    Alcotest.(check (list int)) "no class" [] (Truss.Decompose.k_class dec k)
+  done
+
+(* Every ordered view of [dec] against a key -> trussness table. *)
+let views_match dec expected =
+  let sorted l = List.sort Edge_key.compare l in
+  let expected_where p =
+    sorted (Hashtbl.fold (fun key tau acc -> if p tau then key :: acc else acc) expected [])
+  in
+  let kmax = Hashtbl.fold (fun _ tau acc -> max tau acc) expected 0 in
+  let ok = ref (Truss.Decompose.kmax dec = kmax) in
+  if Truss.Decompose.num_edges dec <> Hashtbl.length expected then ok := false;
+  Hashtbl.iter
+    (fun key tau -> if Truss.Decompose.trussness_opt dec key <> Some tau then ok := false)
+    expected;
+  let classes = ref [] in
+  for k = 0 to kmax + 2 do
+    let t_k = expected_where (fun tau -> tau >= k) and e_k = expected_where (fun tau -> tau = k) in
+    if e_k <> [] then classes := (k, List.length e_k) :: !classes;
+    if sorted (Truss.Decompose.truss_edges dec k) <> t_k then ok := false;
+    if Truss.Decompose.truss_size dec k <> List.length t_k then ok := false;
+    if sorted (Truss.Decompose.k_class dec k) <> e_k then ok := false
+  done;
+  if Truss.Decompose.class_sizes dec <> List.rev !classes then ok := false;
+  !ok
+
+let table_of dec =
+  let tbl = Hashtbl.create 64 in
+  Truss.Decompose.iter dec (Hashtbl.replace tbl);
+  tbl
 
 let prop_index_matches_decompose =
   QCheck2.Test.make ~name:"index agrees with decomposition everywhere" ~count:80
@@ -25,24 +62,10 @@ let prop_index_matches_decompose =
       QCheck2.assume (edges <> []);
       let g = Graph.of_edges edges in
       let dec = Truss.Decompose.run g in
-      let idx = Truss.Index.build dec in
-      let ok = ref true in
-      Truss.Decompose.iter dec (fun key tau ->
-          if Truss.Index.trussness idx key <> Some tau then ok := false);
-      for k = 2 to Truss.Decompose.kmax dec + 1 do
-        let a = List.sort compare (Truss.Index.truss_edges idx k) in
-        let b = List.sort compare (Truss.Decompose.truss_edges dec k) in
-        if a <> b then ok := false;
-        let ca = List.sort compare (Truss.Index.k_class idx k) in
-        let cb = List.sort compare (Truss.Decompose.k_class dec k) in
-        if ca <> cb then ok := false
-      done;
-      !ok)
+      views_match dec (table_of dec) && views_match dec (Helpers.oracle_trussness g))
 
-let test_of_deltas () =
-  let g = Helpers.fig1 () in
-  let dec = Truss.Decompose.run g in
-  let idx = Truss.Index.build dec in
+let test_patched () =
+  let dec = Truss.Decompose.run (Helpers.fig1 ()) in
   (* remove one 5-class edge, promote (0,7) to 4, insert a fresh edge at 3 *)
   let changes =
     [
@@ -51,63 +74,51 @@ let test_of_deltas () =
       (Edge_key.make 7 9, Some 3);
     ]
   in
-  let idx' = Truss.Index.of_deltas idx ~changes in
+  let dec' = Truss.Decompose.patched dec ~changes in
   Alcotest.(check (option int)) "removed edge gone" None
-    (Truss.Index.trussness idx' (Edge_key.make 0 1));
+    (Truss.Decompose.trussness_opt dec' (Edge_key.make 0 1));
   Alcotest.(check (option int)) "promoted edge moved" (Some 4)
-    (Truss.Index.trussness idx' (Edge_key.make 0 7));
+    (Truss.Decompose.trussness_opt dec' (Edge_key.make 0 7));
   Alcotest.(check (option int)) "inserted edge present" (Some 3)
-    (Truss.Index.trussness idx' (Edge_key.make 7 9));
-  (* the source index is untouched *)
+    (Truss.Decompose.trussness_opt dec' (Edge_key.make 7 9));
+  Alcotest.(check (list (pair int int))) "patched class sizes" [ (3, 12); (4, 1); (5, 9) ]
+    (Truss.Decompose.class_sizes dec');
+  Alcotest.(check bool) "patched views" true (views_match dec' (table_of dec'));
+  (* the source decomposition is untouched *)
   Alcotest.(check (option int)) "original unchanged" (Some 3)
-    (Truss.Index.trussness idx (Edge_key.make 0 7));
+    (Truss.Decompose.trussness_opt dec (Edge_key.make 0 7));
   Alcotest.(check (option int)) "original still has (0,1)" (Some 5)
-    (Truss.Index.trussness idx (Edge_key.make 0 1))
+    (Truss.Decompose.trussness_opt dec (Edge_key.make 0 1));
+  Alcotest.(check (list (pair int int))) "original class sizes" [ (3, 12); (5, 10) ]
+    (Truss.Decompose.class_sizes dec)
 
-(* of_deltas must be indistinguishable from rebuilding the index on the
-   mutated graph, for deltas produced by the real maintenance pass. *)
-let prop_of_deltas_matches_rebuild =
-  QCheck2.Test.make ~name:"of_deltas equals rebuild on maintenance deltas" ~count:80
-    QCheck2.Gen.(
-      let* edges = Helpers.random_graph_gen () in
-      let* extra = list_size (int_range 0 5) (pair (int_range 0 13) (int_range 0 13)) in
-      return (edges, extra))
-    (fun (edges, extra) ->
+(* A patch must be indistinguishable from decomposing the mutated graph,
+   for mixed insert + delete deltas produced by the real maintenance
+   pass — the service's publish path. *)
+let prop_patched_matches_rebuild =
+  QCheck2.Test.make ~name:"patched equals rebuild on maintenance deltas" ~count:150
+    Helpers.batch_gen
+    (fun (edges, raw_ins, del_picks) ->
       QCheck2.assume (edges <> []);
       let g = Graph.of_edges edges in
       let dec = Truss.Decompose.run g in
-      let idx = Truss.Index.build dec in
-      let inserted =
-        List.filter (fun (u, v) -> u <> v && not (Graph.mem_edge g u v)) extra
-        |> List.sort_uniq compare
-      in
+      let inserted, deleted = Helpers.net_batch g (raw_ins, del_picks) in
       let result =
         Truss.Maintain.batch_update_csr ~csr:(Csr.of_graph g)
           ~tau:(Truss.Decompose.trussness_opt dec)
-          ~kmax:(Truss.Decompose.kmax dec) ~inserted ~deleted:[]
+          ~kmax:(Truss.Decompose.kmax dec) ~inserted ~deleted
       in
-      let idx' = Truss.Index.of_deltas idx ~changes:result.Truss.Maintain.changes in
+      let patched = Truss.Decompose.patched dec ~changes:result.Truss.Maintain.changes in
       let g' = Graph.copy g in
+      List.iter (fun (u, v) -> ignore (Graph.remove_edge g' u v)) deleted;
       List.iter (fun (u, v) -> ignore (Graph.add_edge g' u v)) inserted;
-      let fresh = Truss.Index.build (Truss.Decompose.run g') in
-      let ok = ref (Truss.Index.kmax idx' = Truss.Index.kmax fresh) in
-      if Truss.Index.class_bounds idx' <> Truss.Index.class_bounds fresh then ok := false;
-      Graph.iter_edges g' (fun u v ->
-          let key = Edge_key.make u v in
-          if Truss.Index.trussness idx' key <> Truss.Index.trussness fresh key then ok := false);
-      for k = 2 to Truss.Index.kmax fresh + 1 do
-        if
-          List.sort compare (Truss.Index.k_class idx' k)
-          <> List.sort compare (Truss.Index.k_class fresh k)
-        then ok := false
-      done;
-      !ok)
+      views_match patched (table_of (Truss.Decompose.run g')))
 
 let suite =
   [
     Alcotest.test_case "fig1 index" `Quick test_fig1_index;
     Alcotest.test_case "empty index" `Quick test_empty_index;
     Helpers.qtest prop_index_matches_decompose;
-    Alcotest.test_case "of_deltas patches and preserves" `Quick test_of_deltas;
-    Helpers.qtest prop_of_deltas_matches_rebuild;
+    Alcotest.test_case "patched patches and preserves" `Quick test_patched;
+    Helpers.qtest prop_patched_matches_rebuild;
   ]

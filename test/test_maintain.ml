@@ -163,37 +163,14 @@ let prop_insert_then_delete_roundtrip =
 
 (* --- pure CSR batch maintenance ------------------------------------------- *)
 
-(* Random batch meeting batch_update_csr's preconditions: inserted edges
-   absent from g, deleted edges present, both lists disjoint and dedup'd. *)
-let batch_gen =
-  QCheck2.Gen.(
-    let* edges = Helpers.random_graph_gen () in
-    let* raw_ins = list_size (int_range 0 6) (pair (int_range 0 14) (int_range 0 14)) in
-    let* del_picks = list_size (int_range 0 4) (int_range 0 1_000_000) in
-    return (edges, raw_ins, del_picks))
-
-(* The graph edges [del_picks] select (with repeats). *)
-let picked_edges g del_picks =
-  let all_edges = Graph.edge_array g in
-  List.map (fun pick -> Edge_key.endpoints all_edges.(pick mod Array.length all_edges)) del_picks
-
 let prop_batch_matches_full_recompute =
-  QCheck2.Test.make ~name:"CSR batch update equals full recomputation" ~count:150 batch_gen
+  QCheck2.Test.make ~name:"CSR batch update equals full recomputation" ~count:150 Helpers.batch_gen
     (fun (edges, raw_ins, del_picks) ->
       QCheck2.assume (edges <> []);
       let g = Graph.of_edges edges in
       let csr = Csr.of_graph g in
       let dec = Truss.Decompose.run g in
-      let deleted = picked_edges g del_picks |> List.sort_uniq compare in
-      let del_tbl = Hashtbl.create 8 in
-      List.iter (fun (u, v) -> Hashtbl.replace del_tbl (Edge_key.make u v) ()) deleted;
-      let inserted =
-        List.filter
-          (fun (u, v) ->
-            u <> v && (not (Graph.mem_edge g u v)) && not (Hashtbl.mem del_tbl (Edge_key.make u v)))
-          raw_ins
-        |> List.sort_uniq compare
-      in
+      let inserted, deleted = Helpers.net_batch g (raw_ins, del_picks) in
       let result =
         Truss.Maintain.batch_update_csr ~csr
           ~tau:(Truss.Decompose.trussness_opt dec)
@@ -244,12 +221,12 @@ let test_batch_empty_is_noop () =
 (* The same raw batch over the two overlay bases gives identical deltas. *)
 let prop_bases_agree =
   QCheck2.Test.make ~name:"Graph and Csr overlay bases give identical deltas" ~count:100
-    batch_gen
+    Helpers.batch_gen
     (fun (edges, raw_ins, del_picks) ->
       QCheck2.assume (edges <> []);
       let g = Graph.of_edges edges in
       let csr = Csr.of_graph g in
-      let deleted = picked_edges g del_picks in
+      let deleted = Helpers.picked_edges g del_picks in
       let on_graph = Truss.Maintain.Overlay.of_graph g ~inserted:raw_ins ~deleted in
       let on_csr = Truss.Maintain.Overlay.make ~csr ~inserted:raw_ins ~deleted in
       List.for_all
@@ -263,31 +240,31 @@ let prop_bases_agree =
         [ 3; 4; 5 ])
 
 let prop_graph_untouched =
-  QCheck2.Test.make ~name:"level_delta leaves the base graph untouched" ~count:100 batch_gen
+  QCheck2.Test.make ~name:"level_delta leaves the base graph untouched" ~count:100 Helpers.batch_gen
     (fun (edges, raw_ins, del_picks) ->
       QCheck2.assume (edges <> []);
       let g = Graph.of_edges edges in
       let before = Graph.copy g in
-      let deleted = picked_edges g del_picks in
+      let deleted = Helpers.picked_edges g del_picks in
       ignore (delta g ~k:4 ~inserted:raw_ins ~deleted ());
       Graph.equal g before)
 
 let prop_delete_restores_graph =
-  QCheck2.Test.make ~name:"graph restored after deletion evaluation" ~count:100 batch_gen
+  QCheck2.Test.make ~name:"graph restored after deletion evaluation" ~count:100 Helpers.batch_gen
     (fun (edges, _, del_picks) ->
       QCheck2.assume (edges <> []);
       let g = Graph.of_edges edges in
       let before = Graph.copy g in
-      let deleted = picked_edges g del_picks in
+      let deleted = Helpers.picked_edges g del_picks in
       List.iter (fun k -> ignore (delta g ~k ~deleted ())) [ 3; 4; 5 ];
       Graph.equal g before)
 
 let prop_batch_matches_oracle =
-  QCheck2.Test.make ~name:"mixed batch equals recomputation from scratch" ~count:100 batch_gen
+  QCheck2.Test.make ~name:"mixed batch equals recomputation from scratch" ~count:100 Helpers.batch_gen
     (fun (edges, raw_ins, del_picks) ->
       QCheck2.assume (edges <> []);
       let g = Graph.of_edges edges in
-      let deleted = picked_edges g del_picks in
+      let deleted = Helpers.picked_edges g del_picks in
       (* the oracle applies deletions first; keep a pair out of both lists *)
       let inserted =
         List.filter (fun (u, v) -> not (List.mem (u, v) deleted || List.mem (v, u) deleted)) raw_ins

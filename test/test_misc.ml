@@ -88,14 +88,21 @@ let prop_index_class_sizes_consistent =
     (fun edges ->
       QCheck2.assume (edges <> []);
       let g = Graph.of_edges edges in
-      let idx = Truss.Index.build (Truss.Decompose.run g) in
-      let ok = ref true in
-      for k = 2 to Truss.Index.kmax idx do
+      let dec = Truss.Decompose.run g in
+      let ok = ref (Truss.Decompose.truss_size dec 2 = Graph.num_edges g) in
+      for k = 2 to Truss.Decompose.kmax dec do
         if
-          Truss.Index.truss_size idx k
-          <> List.length (Truss.Index.k_class idx k) + Truss.Index.truss_size idx (k + 1)
+          Truss.Decompose.truss_size dec k
+          <> List.length (Truss.Decompose.k_class dec k) + Truss.Decompose.truss_size dec (k + 1)
         then ok := false
       done;
+      let sizes = Truss.Decompose.class_sizes dec in
+      List.iter
+        (fun (k, c) ->
+          if c <> Truss.Decompose.truss_size dec k - Truss.Decompose.truss_size dec (k + 1) then
+            ok := false)
+        sizes;
+      if List.fold_left (fun acc (_, c) -> acc + c) 0 sizes <> Graph.num_edges g then ok := false;
       !ok)
 
 let prop_onion_deeper_layers_survive_longer =
