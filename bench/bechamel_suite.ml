@@ -5,7 +5,7 @@
    measures the kernels' per-iteration cost.
 
    The kernels/ group times the CSR snapshot kernels (Graphcore.Csr), the
-   warm-started g-sweep, raw Dinic and the service replay on the largest
+   g-sweep, raw Dinic and the service replay on the largest
    quick-grid registry dataset, so `--json` runs leave a machine-readable
    perf trail (BENCH_kernels.json) future changes can diff against. *)
 
@@ -187,10 +187,10 @@ let test_csr_onion =
            (* the CSR peel never mutates h, so no defensive copy *)
            ignore (Truss.Onion.peel ~h ~k:kd ~candidates:comp ())))
 
-(* Warm-started parametric g-sweep on the fixture DAG, with the probes and
-   weights of PCFR's default sweep. *)
-let test_flow_sweep_warm =
-  Test.make ~name:(kname "flow_sweep_warm")
+(* The g-sweep on the fixture DAG (one from-scratch cut per probe), with
+   the probes and weights of PCFR's default sweep. *)
+let test_flow_sweep =
+  Test.make ~name:(kname "flow_sweep")
     (Staged.stage (fun () ->
          match Lazy.force kernel_dag with
          | None -> ()
@@ -295,7 +295,7 @@ let benchmark ?(quota_s = 1.0) () =
       test_csr_support;
       test_csr_decompose;
       test_csr_onion;
-      test_flow_sweep_warm;
+      test_flow_sweep;
       test_dinic_csr;
       test_serve_replay;
       test_csr_support_par2;

@@ -1,17 +1,14 @@
-(* Warm-started parametric g-sweep, checked against rebuilt cuts.
+(* The g-sweep, checked against rebuilt cuts.
 
    Builds the block DAGs of every (k-1)-class component of the kernel
-   dataset (gowalla), times the full two-(w1,w2) sweep menu on the
-   parametric engine (one network per (dag, w1, w2), Dinic warm-started
-   across probes), then checks every selection against a network rebuilt
-   and solved from zero flow at the selection's own g: the selection must
-   be that cut, or that cut minus exactly one sink-adjacent block (a
-   leaf-drop variant), with the cut's value and an h_score that sums its
-   blocks.
+   dataset (gowalla), times the full two-(w1,w2) sweep menu (each probe
+   builds and solves its network from scratch), then checks every selection
+   against the cut at the selection's own g: the selection must be that
+   cut, or that cut minus exactly one sink-adjacent block (a leaf-drop
+   variant), with the cut's value and an h_score that sums its blocks.
 
-   Under --obs the parametric.* counters land in the exported metrics; the
-   @bench-smoke alias runs this experiment with --assert-counter
-   parametric.warm_probes to keep the warm path exercised in CI. *)
+   The @bench-smoke alias runs this experiment under --obs with
+   --assert-counter flow_plan.g_probes. *)
 
 let dataset = "gowalla"
 
@@ -60,7 +57,7 @@ let run () =
   let dags = build_dags g k in
   let probes = 10 in
   let reps = Exp_common.pick ~quick:3 ~full:10 in
-  Printf.printf "parametric g-sweep (%s, k=%d, %d DAGs, %d probes, %d reps):\n" dataset k
+  Printf.printf "g-sweep (%s, k=%d, %d DAGs, %d probes, %d reps):\n" dataset k
     (List.length dags) probes reps;
   let sels = ref [] in
   let _, t =
@@ -73,12 +70,5 @@ let run () =
     Printf.eprintf "flowsweep: a selection is neither a rebuilt cut nor a leaf drop of one!\n";
     exit 1
   end;
-  Printf.printf "%-24s %10s\n" "engine" "time";
-  Printf.printf "%-24s %10s\n" "parametric warm-start" (Exp_common.fmt_time t.Exp_common.seconds);
-  Printf.printf "%d selections, each a rebuilt cut or a leaf drop of one\n" (List.length !sels);
-  if Obs.enabled () then
-    List.iter
-      (fun (name, v) ->
-        if String.length name >= 11 && String.sub name 0 11 = "parametric." then
-          Printf.printf "  %-32s %d\n" name v)
-      (Obs.counters ())
+  Printf.printf "%-24s %10s\n" "sweep time" (Exp_common.fmt_time t.Exp_common.seconds);
+  Printf.printf "%d selections, each a rebuilt cut or a leaf drop of one\n" (List.length !sels)

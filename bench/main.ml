@@ -45,7 +45,7 @@ let experiments =
     ("table5", "Table V + Fig. 7: DP quality and time", Exp_dp.run);
     ("fig8", "Fig. 8: case study conversion ratios", Exp_fig8.run);
     ("scaling", "Table III companion: kernel scaling + ablations", Exp_scaling.run);
-    ("flowsweep", "Parametric warm-start g-sweep, checked against rebuilt cuts", Exp_flow.run);
+    ("flowsweep", "g-sweep, checked against rebuilt cuts", Exp_flow.run);
     ("corevs", "Motivation companion: truss vs core maximization", Exp_core_vs_truss.run);
     ("anchorvs", "Related-work companion: anchoring vs edge insertion", Exp_anchor.run);
     ("weighted", "Extension: weighted insertion budgets", Exp_weighted.run);

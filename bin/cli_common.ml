@@ -63,7 +63,7 @@ let apply_domains = function None -> () | Some n -> Par.set_domains n
 
 let g_probes_arg =
   let doc =
-    "Min-cut evaluations per g-sweep (sweep depth of the parametric flow engine); \
+    "Min-cut evaluations per g-sweep, each solved from scratch; \
      the paper uses 10.  Only meaningful for the flow-based algorithms \
      (pcfr, pcf)."
   in

@@ -12,7 +12,7 @@ let c_max_flows = Obs.Counter.make "dinic.max_flow_calls"
    fills/blits, never an allocation.  The explicit stack also means level
    graphs as deep as the node count cannot overflow the OCaml stack, which
    the previous recursive formulation could on long-path networks. *)
-let max_flow_ext net ~s ~t =
+let max_flow net ~s ~t =
   if s = t then invalid_arg "Dinic.max_flow: source equals sink";
   Obs.Counter.incr c_max_flows;
   let { Flow_network.i_dst = dst; i_cap = cap; i_first_out = fo; i_adj = adj } =
@@ -24,11 +24,9 @@ let max_flow_ext net ~s ~t =
   let cur = Array.make n 0 in
   let path = Array.make n 0 in
   let flow = ref 0 in
-  let phases = ref 0 in
   let continue_phases = ref true in
   while !continue_phases do
     Obs.Counter.incr c_bfs_phases;
-    incr phases;
     (* Level graph by BFS over residual arcs. *)
     Array.fill level 0 n (-1);
     level.(s) <- 0;
@@ -119,6 +117,4 @@ let max_flow_ext net ~s ~t =
       done
     end
   done;
-  (!flow, !phases)
-
-let max_flow net ~s ~t = fst (max_flow_ext net ~s ~t)
+  !flow

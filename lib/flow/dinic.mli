@@ -11,11 +11,6 @@
 val max_flow : Flow_network.t -> s:int -> t:int -> int
 (** Computes the maximum s-t flow, mutating residual capacities in the
     network.  Returns the flow value.  On a network already carrying a
-    feasible flow (e.g. after {!Flow_network.set_cap} raised capacities),
-    this computes exactly the increment to a maximum flow — the GGT-style
-    warm start {!Parametric} builds on. *)
-
-val max_flow_ext : Flow_network.t -> s:int -> t:int -> int * int
-(** Same, also returning the number of BFS phases run (level-graph builds,
-    including the final one that fails to reach [t]) — the work measure the
-    parametric warm-start counters report. *)
+    feasible flow this computes only the increment; callers that want a
+    from-scratch solve start from a fresh or {!Flow_network.reset}
+    network. *)

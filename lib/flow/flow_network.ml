@@ -111,14 +111,6 @@ let send t id amount =
   let twin = id lxor 1 in
   t.arc_cap.(twin) <- t.arc_cap.(twin) + amount
 
-let set_cap t id cap =
-  if cap < 0 then invalid_arg "Flow_network.set_cap: negative capacity";
-  let delta = cap - t.arc_init.(id) in
-  let residual = t.arc_cap.(id) + delta in
-  if residual < 0 then invalid_arg "Flow_network.set_cap: below committed flow";
-  t.arc_init.(id) <- cap;
-  t.arc_cap.(id) <- residual
-
 let iter_arcs_from t v f =
   freeze t;
   let adj = t.adj in
@@ -129,18 +121,3 @@ let iter_arcs_from t v f =
 let num_arcs t = t.n_arcs
 
 let reset t = Array.blit t.arc_init 0 t.arc_cap 0 t.n_arcs
-
-type snapshot = { s_n_arcs : int; s_cap : int array; s_init : int array }
-
-let snapshot t =
-  {
-    s_n_arcs = t.n_arcs;
-    s_cap = Array.sub t.arc_cap 0 t.n_arcs;
-    s_init = Array.sub t.arc_init 0 t.n_arcs;
-  }
-
-let restore t s =
-  if s.s_n_arcs <> t.n_arcs then
-    invalid_arg "Flow_network.restore: snapshot from a different arc set";
-  Array.blit s.s_cap 0 t.arc_cap 0 s.s_n_arcs;
-  Array.blit s.s_init 0 t.arc_init 0 s.s_n_arcs

@@ -30,21 +30,12 @@ val arc_src : t -> int -> int
 (** Source node of the arc (the destination of its twin). *)
 
 val initial_cap : t -> int -> int
-(** Capacity the arc was created with (or last {!set_cap} value). *)
+(** Capacity the arc was created with. *)
 
 val send : t -> int -> int -> unit
 (** [send net id amount] pushes [amount] units along the arc: decreases its
     residual capacity and credits the twin.  Raises [Invalid_argument] when
     [amount] exceeds the residual capacity. *)
-
-val set_cap : t -> int -> int -> unit
-(** [set_cap net id cap] reparameterizes the arc to capacity [cap],
-    preserving any flow already routed through it: the residual capacity
-    moves by [cap - initial_cap net id] and the twin is untouched, so
-    [initial_cap - arc_cap] (the committed flow) is invariant.  Raises
-    [Invalid_argument] when the committed flow exceeds the new capacity —
-    lowering a cap below its current flow would require rerouting, which is
-    the caller's job (reset or restore a snapshot first). *)
 
 val iter_arcs_from : t -> int -> (int -> unit) -> unit
 (** All arc ids (forward and residual) leaving a node, ascending id.
@@ -55,17 +46,6 @@ val num_arcs : t -> int
 
 val reset : t -> unit
 (** Restore every arc to its initial capacity (undoes all flow). *)
-
-(** {2 Snapshots}
-
-    A snapshot captures the residual and initial capacities of every arc —
-    i.e. both the flow and the parameterization — in two flat copies.
-    {!restore} blits them back; the arc set itself must be unchanged. *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-val restore : t -> snapshot -> unit
 
 (** {2 Raw frozen layout}
 

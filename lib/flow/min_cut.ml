@@ -30,14 +30,15 @@ let compute net ~s ~t =
   done;
   { value; source_side = side }
 
-let extract_max net ~t ~value =
+let compute_max net ~s ~t =
+  let value = Dinic.max_flow net ~s ~t in
   record value;
   let n = Flow_network.num_nodes net in
   (* Reverse BFS from t: x reaches t through residual arc (x, w) iff that
      arc — stored as the twin of some arc leaving w — has capacity left.
      The set of nodes that reach t is the same for every maximum flow (the
-     min-cut family forms a lattice), so the reported side is independent
-     of how the flow was obtained — from scratch or warm-started. *)
+     min-cut family forms a lattice), so the complement is the maximal
+     minimum source side whichever maximum flow Dinic found. *)
   let reaches_t = Array.make n false in
   reaches_t.(t) <- true;
   let queue = Queue.create () in
@@ -54,10 +55,6 @@ let extract_max net ~t ~value =
         end)
   done;
   { value; source_side = Array.map not reaches_t }
-
-let compute_max net ~s ~t =
-  let value = Dinic.max_flow net ~s ~t in
-  extract_max net ~t ~value
 
 let cut_arcs net cut =
   let acc = ref [] in

@@ -20,13 +20,6 @@ val compute_max : Flow_network.t -> s:int -> t:int -> t
     several minimum cuts tie, this one anchors as many nodes as possible —
     the behaviour the truss flow graphs rely on at [g = 0]. *)
 
-val extract_max : Flow_network.t -> t:int -> value:int -> t
-(** Cut extraction alone, for callers that already hold a maximum flow of
-    value [value] in the network (the {!Parametric} warm-start path).  The
-    maximal source side is invariant across maximum flows, so the result is
-    identical to {!compute_max} from scratch.  Records the same
-    [min_cut.*] counters as the computing variants. *)
-
 val cut_arcs : Flow_network.t -> t -> int list
 (** Forward arc ids crossing from the source side to the sink side; their
     initial capacities sum to [value]. *)

@@ -203,31 +203,8 @@ let sorted ~revenues ~budget =
     allocation_of_choices revenues choices
   end
 
-let c_sorted = Obs.Counter.make "dp.sorted_runs"
-
-let c_sequential = Obs.Counter.make "dp.sequential_runs"
-
-let c_guard_wins = Obs.Counter.make "dp.binary_guard_wins"
-
 let solve ~revenues ~budget =
-  Obs.Span.with_ "dp.solve" @@ fun () ->
-  if budget < Array.length revenues then begin
-    (* Sorted DP is approximate; guard it with the cheap exact 0-1 DP so
-       the combined solver never falls below a full-conversion-only
-       allocation (and hence never below CBTM). *)
-    Obs.Counter.incr c_sorted;
-    let s = sorted ~revenues ~budget in
-    let b = binary ~revenues ~budget in
-    if b.total_score > s.total_score then begin
-      Obs.Counter.incr c_guard_wins;
-      b
-    end
-    else s
-  end
-  else begin
-    Obs.Counter.incr c_sequential;
-    sequential ~revenues ~budget
-  end
+  Obs.Span.with_ "dp.solve" @@ fun () -> sequential ~revenues ~budget
 
 let brute_force ~revenues ~budget =
   let n = Array.length revenues in

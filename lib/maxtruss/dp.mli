@@ -10,12 +10,13 @@
     - {!sequential}: Algorithm 3, exact over all plans, O(|C| b^2) worst
       case (O(|C| b S) with S plans per component as implemented).
     - {!sorted}: Algorithm 4, the heap-assisted approximation whose rows
-      bound the number of {e chosen} components by [min(|C|, b)]; faster
-      when [b << |C|], and near-exact in practice (the paper reports a gap
-      of 11 out of ~32k at its worst).
+      bound the number of {e chosen} components by [min(|C|, b)], near-exact
+      in practice (the paper reports a gap of 11 out of ~32k at its worst).
 
-    {!solve} applies the paper's switch: Sorted when [b < |C|], Sequential
-    otherwise. *)
+    {!solve}, the production entry point, is {!sequential} at every budget:
+    it is exact and, on the Table V kernel, faster than {!sorted}.
+    {!sorted}, {!binary} and {!sequential_literal} stay as the Table V /
+    Fig. 7 subjects and CBTM's DP. *)
 
 type allocation = {
   total_score : int;
@@ -33,7 +34,9 @@ val sequential_literal : revenues:Plan.revenue array -> budget:int -> allocation
     step function is flat); kept for the Fig. 7 running-time comparison. *)
 
 val sorted : revenues:Plan.revenue array -> budget:int -> allocation
+
 val solve : revenues:Plan.revenue array -> budget:int -> allocation
+(** {!sequential} inside the [dp.solve] span. *)
 
 val brute_force : revenues:Plan.revenue array -> budget:int -> allocation
 (** Exhaustive enumeration — exponential, for tests on tiny instances. *)

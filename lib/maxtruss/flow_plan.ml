@@ -45,29 +45,6 @@ let min_cut_selection ~dag ~w1 ~w2 ~g =
   let cut = Flow.Min_cut.compute_max net ~s ~t in
   selection_of_cut ~dag ~g cut
 
-(* One parametric network per (dag, w1, w2) sweep: source and link arcs are
-   built exactly once; the block->sink gates are declared with their
-   (base, offset) parameterization and retuned per probe by
-   {!Flow.Parametric.solve}.  Gates are added even when their capacity at
-   the current g would be 0 — a zero-capacity arc carries no flow and adds
-   no residual reachability, so the cut is unchanged, and the arc is there
-   to open up at higher g. *)
-let parametric_net ~dag ~w1 ~w2 =
-  let open Block_dag in
-  let n = dag.n_blocks in
-  let s = n and t = n + 1 in
-  let p = Flow.Parametric.create ~nodes:(n + 2) ~source:s ~sink:t in
-  let q = dag.total_link_weight in
-  for b = 0 to n - 1 do
-    Flow.Parametric.add_arc p ~src:s ~dst:b ~cap:q;
-    Flow.Parametric.add_gate p ~src:b ~base:dag.base_sink.(b)
-      ~offset:(gate_offset ~dag ~w1 ~w2 b)
-  done;
-  Array.iter
-    (fun (src, dst, w) -> Flow.Parametric.add_arc p ~src ~dst ~cap:w)
-    dag.links;
-  p
-
 let sweep ~dag ~w1 ~w2 ~probes () =
   if dag.Block_dag.n_blocks = 0 then []
   else
@@ -75,11 +52,10 @@ let sweep ~dag ~w1 ~w2 ~probes () =
     let seen = Hashtbl.create 16 in
     let results = ref [] in
     let budget = ref probes in
-    let pnet = parametric_net ~dag ~w1 ~w2 in
     let eval g =
       decr budget;
       Obs.Counter.incr c_probes;
-      let sel = selection_of_cut ~dag ~g (Flow.Parametric.solve pnet ~g) in
+      let sel = min_cut_selection ~dag ~w1 ~w2 ~g in
       let signature = String.concat "," (List.map string_of_int sel.blocks) in
       if (not (Hashtbl.mem seen signature)) && sel.blocks <> [] then begin
         Hashtbl.replace seen signature ();
@@ -96,8 +72,8 @@ let sweep ~dag ~w1 ~w2 ~probes () =
        between.  Always split the interval with the largest h gap first —
        breadth-first splitting wastes the probe budget teasing apart
        near-identical plateaus at one end of the range — and break gap ties
-       toward the lowest-g interval, so probes inside one split run in
-       ascending g and land on the parametric engine's warm path. *)
+       toward the lowest-g interval.  This order decides which g values the
+       probe budget reaches, so it is part of the result. *)
     let heap =
       Min_heap.create
         ~cmp:(fun (ga, gla, _, _, _) (gb, glb, _, _, _) ->

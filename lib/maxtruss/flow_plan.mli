@@ -34,8 +34,7 @@ val sweep :
 (** Bisection sweep using at most [probes] cut computations; returns the
     distinct non-empty selections found, largest [h_score] first.
 
-    One {!Flow.Parametric} network is built per sweep; probes retune the
-    gate capacities and warm-start Dinic from the retained flow (see the
-    [parametric.*] counters).  Every selection is either the cut of
-    {!min_cut_selection} at its [g_param], or that cut minus exactly one
-    sink-adjacent block (a leaf-drop variant). *)
+    Each probe is one {!min_cut_selection}: the network is built and
+    solved from scratch at that [g] (counted in [flow_plan.g_probes]).
+    Every selection is either that cut at its [g_param], or that cut minus
+    exactly one sink-adjacent block (a leaf-drop variant). *)

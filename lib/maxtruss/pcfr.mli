@@ -8,9 +8,10 @@
     - PCFR (both): random plans for the (k-1)-class, min-cut plans
       everywhere — the paper's full algorithm.
 
-    The DP variant switches automatically: Sorted DP when the remaining
-    budget is below the component count, Sequential DP otherwise (the
-    policy Section V-E prescribes). *)
+    Every level splits its remaining budget with the exact Sequential DP
+    ({!Dp.solve}).  Section V-E prescribes Sorted DP when the budget is
+    below the component count; Sequential is exact and, on the Table V
+    kernel, also the faster of the two. *)
 
 open Graphcore
 

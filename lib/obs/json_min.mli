@@ -1,6 +1,7 @@
 (** Minimal zero-dependency JSON value type, parser and string escaper,
-    shared by the observability exporters ([Obs]), the performance-baseline
-    reader ([Perf_baseline]) and the [maxtruss obsdiff] subcommand.
+    shared by the observability exporters ([Obs]), the bench harness's
+    performance-baseline reader ([Perf_baseline]) and the
+    [maxtruss obsdiff] subcommand.
 
     Scope: everything our own exporters emit — objects, arrays, strings
     with the standard escapes (including [\uXXXX] with surrogate pairs,

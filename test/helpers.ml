@@ -177,6 +177,30 @@ let oracle_onion ~h ~k ~candidates =
   List.iter (fun key -> Hashtbl.replace layer key max_layer) stuck;
   { Truss.Onion.layer; max_layer; rounds = !rounds }
 
+(* Definition-level minimum s-t cut: enumerate every source set [S] with
+   [s] in and [t] out, weigh the arcs [(src, dst, cap)] leaving it, and
+   return the minimum capacity with the union of all minimum source sets.
+   Minimum cuts are closed under union, so that union is itself the
+   maximal minimum source side.  Exponential in [n]; for tiny networks. *)
+let oracle_max_min_cut ~n ~arcs ~s ~t =
+  let best = ref max_int and union = ref 0 in
+  for mask = 0 to (1 lsl n) - 1 do
+    if mask land (1 lsl s) <> 0 && mask land (1 lsl t) = 0 then begin
+      let inside v = mask land (1 lsl v) <> 0 in
+      let cap =
+        List.fold_left
+          (fun acc (src, dst, c) -> if inside src && not (inside dst) then acc + c else acc)
+          0 arcs
+      in
+      if cap < !best then begin
+        best := cap;
+        union := mask
+      end
+      else if cap = !best then union := !union lor mask
+    end
+  done;
+  (!best, Array.init n (fun v -> !union land (1 lsl v) <> 0))
+
 let sorted_keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
 
 (* Substring membership, for asserting on rendered response lines. *)

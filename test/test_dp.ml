@@ -15,12 +15,14 @@ let example5 () =
 
 let test_example5_sequential () =
   let revenues = example5 () in
-  (* Table I, last row: budgets 1..5 give 4, 7, 9, 11, 12. *)
+  (* Table I, last row: budgets 1..5 give 4, 7, 9, 11, 12 — from the
+     production entry point too, on both sides of b = |C| = 3. *)
   List.iter
     (fun (b, expected) ->
-      let alloc = Dp.sequential ~revenues ~budget:b in
       Alcotest.(check int) (Printf.sprintf "Table I score at b=%d" b) expected
-        alloc.Dp.total_score)
+        (Dp.sequential ~revenues ~budget:b).Dp.total_score;
+      Alcotest.(check int) (Printf.sprintf "Dp.solve score at b=%d" b) expected
+        (Dp.solve ~revenues ~budget:b).Dp.total_score)
     [ (0, 0); (1, 4); (2, 7); (3, 9); (4, 11); (5, 12) ]
 
 let test_example5_sequential_allocation () =
@@ -51,12 +53,6 @@ let test_empty_inputs () =
   let alloc = Dp.sorted ~revenues:[| []; [] |] ~budget:5 in
   Alcotest.(check int) "empty menus" 0 alloc.Dp.total_score
 
-let test_solve_switches () =
-  let revenues = example5 () in
-  (* b < |C| -> sorted; b >= |C| -> sequential.  Both are exact here. *)
-  Alcotest.(check int) "b=2 < 3 components" 7 (Dp.solve ~revenues ~budget:2).Dp.total_score;
-  Alcotest.(check int) "b=5 >= 3 components" 12 (Dp.solve ~revenues ~budget:5).Dp.total_score
-
 let test_feasible_check () =
   let revenues = example5 () in
   let alloc = Dp.sequential ~revenues ~budget:5 in
@@ -76,28 +72,45 @@ let revenue_gen =
     let* budget = int_range 0 12 in
     return (Array.of_list menus, budget))
 
+let print_instance (revenues, budget) =
+  Format.asprintf "budget %d, menus %a" budget
+    (Format.pp_print_array ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Plan.pp)
+    revenues
+
+(* The production entry point is exact at every budget, below the
+   component count included. *)
+let prop_solve_optimal =
+  QCheck2.Test.make ~name:"Dp.solve matches brute force" ~count:300
+    ~print:print_instance revenue_gen
+    (fun (revenues, budget) ->
+      let alloc = Dp.solve ~revenues ~budget in
+      Dp.feasible ~revenues ~budget alloc
+      && alloc.Dp.total_score = (Dp.brute_force ~revenues ~budget).Dp.total_score)
+
 let prop_sequential_optimal =
-  QCheck2.Test.make ~name:"sequential DP matches brute force" ~count:300 revenue_gen
+  QCheck2.Test.make ~name:"sequential DP matches brute force" ~count:300
+    ~print:print_instance revenue_gen
     (fun (revenues, budget) ->
       (Dp.sequential ~revenues ~budget).Dp.total_score
       = (Dp.brute_force ~revenues ~budget).Dp.total_score)
 
 let prop_literal_matches_sequential =
   QCheck2.Test.make ~name:"Algorithm 3 as printed matches the optimized variant" ~count:200
-    revenue_gen
+    ~print:print_instance revenue_gen
     (fun (revenues, budget) ->
       let lit = Dp.sequential_literal ~revenues ~budget in
       Dp.feasible ~revenues ~budget lit
       && lit.Dp.total_score = (Dp.sequential ~revenues ~budget).Dp.total_score)
 
 let prop_sequential_feasible =
-  QCheck2.Test.make ~name:"sequential allocation is feasible" ~count:300 revenue_gen
+  QCheck2.Test.make ~name:"sequential allocation is feasible" ~count:300
+    ~print:print_instance revenue_gen
     (fun (revenues, budget) ->
       Dp.feasible ~revenues ~budget (Dp.sequential ~revenues ~budget))
 
 let prop_sorted_feasible_and_bounded =
   QCheck2.Test.make ~name:"sorted DP is feasible and bounded by the optimum" ~count:300
-    revenue_gen
+    ~print:print_instance revenue_gen
     (fun (revenues, budget) ->
       let sorted = Dp.sorted ~revenues ~budget in
       Dp.feasible ~revenues ~budget sorted
@@ -106,7 +119,8 @@ let prop_sorted_feasible_and_bounded =
 let prop_sorted_near_optimal =
   (* The paper reports tiny gaps; on small instances sorted DP should land
      within 80% of the optimum (it is exact in almost every run). *)
-  QCheck2.Test.make ~name:"sorted DP reaches at least 80% of optimum" ~count:300 revenue_gen
+  QCheck2.Test.make ~name:"sorted DP reaches at least 80% of optimum" ~count:300
+    ~print:print_instance revenue_gen
     (fun (revenues, budget) ->
       let opt = (Dp.sequential ~revenues ~budget).Dp.total_score in
       let s = (Dp.sorted ~revenues ~budget).Dp.total_score in
@@ -114,14 +128,15 @@ let prop_sorted_near_optimal =
 
 let prop_binary_bounded =
   QCheck2.Test.make ~name:"binary DP is feasible and never beats sequential" ~count:300
-    revenue_gen
+    ~print:print_instance revenue_gen
     (fun (revenues, budget) ->
       let b = Dp.binary ~revenues ~budget in
       Dp.feasible ~revenues ~budget b
       && b.Dp.total_score <= (Dp.sequential ~revenues ~budget).Dp.total_score)
 
 let prop_monotone_in_budget =
-  QCheck2.Test.make ~name:"sequential score is monotone in budget" ~count:150 revenue_gen
+  QCheck2.Test.make ~name:"sequential score is monotone in budget" ~count:150
+    ~print:print_instance revenue_gen
     (fun (revenues, budget) ->
       (Dp.sequential ~revenues ~budget).Dp.total_score
       <= (Dp.sequential ~revenues ~budget:(budget + 3)).Dp.total_score)
@@ -133,7 +148,7 @@ let suite =
     Alcotest.test_case "Example 5 binary DP" `Quick test_example5_binary;
     Alcotest.test_case "Example 5 / Table II (sorted)" `Quick test_example5_sorted;
     Alcotest.test_case "empty inputs" `Quick test_empty_inputs;
-    Alcotest.test_case "solve switches" `Quick test_solve_switches;
+    Helpers.qtest prop_solve_optimal;
     Alcotest.test_case "feasibility check" `Quick test_feasible_check;
     Helpers.qtest prop_sequential_optimal;
     Helpers.qtest prop_literal_matches_sequential;

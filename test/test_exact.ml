@@ -39,6 +39,7 @@ let prop_pcfr_within_optimum =
      so neither strictly bounds the other — but on clustered instances PCFR
      should reach at least half of the restricted optimum. *)
   QCheck2.Test.make ~name:"PCFR reaches at least half the restricted optimum" ~count:10
+    ~print:QCheck2.Print.(list (pair int int))
     (Helpers.clustered_graph_gen ())
     (fun edges ->
       QCheck2.assume (edges <> []);

@@ -140,9 +140,12 @@ let selection_explained ~dag ~w1 ~w2 (sel : Flow_plan.selection) =
   && sel.Flow_plan.cut_value = cut.Flow_plan.cut_value
   && sel.Flow_plan.h_score = List.fold_left (fun acc b -> acc + Block_dag.size dag b) 0 blocks
 
-(* The warm-started sweep against per-probe rebuilt cuts on random block
-   DAGs at both (w1, w2) settings of the paper, under a 1- and a 4-domain
-   pool (the sweeps run inside the pool's tasks, as PCFR issues them). *)
+(* Sweep selections against per-probe rebuilt cuts on random block DAGs at
+   both (w1, w2) settings of the paper, under a 1- and a 4-domain pool (the
+   sweeps run inside the pool's tasks, as PCFR issues them).  The sweep
+   itself probes through [min_cut_selection], so for plain cut selections
+   this is partly tautological; it stays for the leaf-drop variants, which
+   must be a rebuilt cut minus exactly one sink-adjacent block. *)
 let prop_sweep_selections_are_cuts =
   QCheck2.Test.make ~name:"sweep selections are rebuilt cuts or leaf drops (1 and 4 domains)"
     ~count:30
