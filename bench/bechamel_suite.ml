@@ -5,8 +5,9 @@
    measures the kernels' per-iteration cost.
 
    The kernels/ group times the CSR snapshot kernels (Graphcore.Csr), the
-   g-sweep, raw Dinic and the service replay on the largest
-   quick-grid registry dataset, so `--json` runs leave a machine-readable
+   g-sweep, raw Dinic and the service replay, mostly on the largest
+   quick-grid registry dataset (plus one straggler-heavy facebook
+   conversion), so `--json` runs leave a machine-readable
    perf trail (BENCH_kernels.json) future changes can diff against. *)
 
 open Bechamel
@@ -206,6 +207,41 @@ let test_dinic_csr =
          Flow.Flow_network.reset net;
          ignore (Flow.Dinic.max_flow net ~s ~t)))
 
+(* Straggler-heavy conversion: facebook at k = 10, the level-2 candidates
+   (classes 8 and 9) of the largest component, converted along the
+   default-weight sweep selection that leaves the most targets to the
+   straggler phase (112 of 162 after the greedy cover). *)
+let kernel_stragglers =
+  lazy
+    (let g = (Datasets.Registry.find "facebook").Datasets.Registry.build () in
+     let k = 10 in
+     let dec = Truss.Decompose.run g in
+     let ctx = Maxtruss.Score.make_ctx ~dec g ~k in
+     match Truss.Connectivity.components ~g ~dec ~lo:(k - 2) ~hi:k with
+     | [] -> None
+     | comp :: _ ->
+       let h = Truss.Onion.build_h ~g ~backdrop:ctx.Maxtruss.Score.old_truss ~candidates:comp in
+       let onion = Truss.Onion.peel ~h ~k ~candidates:comp () in
+       let dag = Maxtruss.Block_dag.build ~h ~dec ~k ~component:comp ~onion in
+       let stragglers target =
+         Hashtbl.length (Maxtruss.Convert.cover ~ctx ~target).Maxtruss.Convert.unstable
+       in
+       let _, target =
+         Maxtruss.Flow_plan.sweep ~dag ~w1:1 ~w2:1 ~probes:10 ()
+         |> List.map (fun sel ->
+                let target = Maxtruss.Block_dag.edges_of_blocks dag sel.Maxtruss.Flow_plan.blocks in
+                (stragglers target, target))
+         |> List.fold_left (fun (bn, bt) (n, t) -> if n > bn then (n, t) else (bn, bt)) (0, [])
+       in
+       Some (ctx, target))
+
+let test_convert_stragglers =
+  Test.make ~name:"kernels/convert_stragglers@facebook"
+    (Staged.stage (fun () ->
+         match Lazy.force kernel_stragglers with
+         | None -> ()
+         | Some (ctx, target) -> ignore (Maxtruss.Convert.convert ~ctx ~target ())))
+
 (* Service replay kernel: a fixed mixed workload — five reads plus two small
    mutation batches — against a store seeded from a prebuilt epoch.  The
    base epoch is shared across runs (mutations publish fresh epochs built
@@ -297,6 +333,7 @@ let benchmark ?(quota_s = 1.0) () =
       test_csr_onion;
       test_flow_sweep;
       test_dinic_csr;
+      test_convert_stragglers;
       test_serve_replay;
       test_csr_support_par2;
       test_csr_decompose_par2;

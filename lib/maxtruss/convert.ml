@@ -114,30 +114,45 @@ let greedy_cover ~g ~h ~sup ~unstable ~threshold =
 
 (* Clique strategy: recruit k-2 extra nodes maximizing existing adjacency to
    the growing set, then add every missing pair — a k-clique is the smallest
-   k-truss, so the target edge is certainly converted. *)
-let clique_plan ~g ~h ~k ~node_pool key =
+   k-truss, so the target edge is certainly converted.  [count] holds each
+   pool node's h-adjacency to the chosen set (-1 once chosen); every pick
+   bumps its h-neighbours (all pool nodes: [h] only ever gains edges among
+   them), so a recruit is the smallest touched id with the largest count,
+   or the first free pool node when nothing is touched. *)
+let clique_plan ~g ~h ~k ~pool key =
+  let count = Hashtbl.create 64 in
+  let chosen = ref [] in
+  let choose w =
+    chosen := w :: !chosen;
+    Hashtbl.replace count w (-1);
+    Graph.iter_neighbors h w (fun x ->
+        match Hashtbl.find_opt count x with
+        | Some c when c < 0 -> ()
+        | Some c -> Hashtbl.replace count x (c + 1)
+        | None -> Hashtbl.replace count x 1)
+  in
   let u, v = Edge_key.endpoints key in
-  let chosen = ref [ u; v ] in
-  let pool = List.filter (fun w -> w <> u && w <> v) node_pool in
-  let adjacency w = List.fold_left (fun acc x -> if Graph.mem_edge h x w then acc + 1 else acc) 0 !chosen in
-  let available = ref pool in
-  for _ = 1 to k - 2 do
-    match !available with
-    | [] -> ()
-    | _ ->
-      let best =
-        List.fold_left
-          (fun acc w ->
-            let a = adjacency w in
-            match acc with Some (ba, _) when ba >= a -> acc | _ -> Some (a, w))
-          None !available
-      in
-      (match best with
-      | Some (_, w) ->
-        chosen := w :: !chosen;
-        available := List.filter (fun x -> x <> w) !available
-      | None -> ())
-  done;
+  choose u;
+  choose v;
+  let free = ref 0 in
+  let is_chosen w = match Hashtbl.find_opt count w with Some c -> c < 0 | None -> false in
+  (try
+     for _ = 1 to k - 2 do
+       let best_c, best_w =
+         Hashtbl.fold
+           (fun w c ((bc, bw) as acc) -> if c > bc || (c = bc && c > 0 && w < bw) then (c, w) else acc)
+           count (0, max_int)
+       in
+       if best_c > 0 then choose best_w
+       else begin
+         while !free < Array.length pool && is_chosen pool.(!free) do
+           incr free
+         done;
+         if !free = Array.length pool then raise Exit;
+         choose pool.(!free)
+       end
+     done
+   with Exit -> ());
   if List.length !chosen < k then None
   else begin
     let missing = ref [] in
@@ -156,121 +171,161 @@ let clique_plan ~g ~h ~k ~node_pool key =
   end
 
 (* Cascading greedy: allow unstable candidates; freshly inserted edges
-   become targets themselves.  Bounded, and simulated on scratch state so a
-   blow-up costs nothing. *)
-let greedy_cascade ~g ~h ~k ~target_key =
+   become targets themselves.  Runs on [h] itself: its trial edges are
+   never edges of [h], so removing them before returning restores [h]
+   exactly, and every choice breaks ties by [Edge_key.compare], so the
+   adjacency order the round trip may leave behind cannot change a plan.
+   Gives up after [cap] insertions ([`Capped]) or when no candidate covers
+   anything ([`Stuck]). *)
+let greedy_cascade ~g ~h ~k ~cap ~target_key =
   let threshold = k - 2 in
-  let scratch = Graph.copy h in
   let sup = Hashtbl.create 16 in
   let unstable = Hashtbl.create 16 in
   let add_target key =
     let u, v = Edge_key.endpoints key in
-    let s = Graph.count_common_neighbors scratch u v in
+    let s = Graph.count_common_neighbors h u v in
     Hashtbl.replace sup key s;
     if s < threshold then Hashtbl.replace unstable key ()
   in
   add_target target_key;
-  let plan = ref [] in
-  let steps = ref 0 in
-  let cap = 6 * k in
-  let failed = ref false in
-  while (not !failed) && Hashtbl.length unstable > 0 do
-    incr steps;
-    if !steps > cap then failed := true
+  let plan = ref [] and steps = ref 0 in
+  let result = ref None in
+  while Option.is_none !result && Hashtbl.length unstable > 0 do
+    if !steps = cap then result := Some `Capped
     else begin
+      incr steps;
       let best = ref None in
       Hashtbl.iter
         (fun t () ->
           List.iter
             (fun cand ->
-              let cov = coverage ~h:scratch ~unstable cand in
+              let cov = coverage ~h ~unstable cand in
               if cov > 0 then
                 match !best with
                 | Some (bc, bk) when bc > cov || (bc = cov && Edge_key.compare bk cand <= 0) -> ()
                 | _ -> best := Some (cov, cand))
-            (candidates_for ~g ~h:scratch t))
+            (candidates_for ~g ~h t))
         unstable;
       match !best with
-      | None -> failed := true
+      | None -> result := Some `Stuck
       | Some (_, cand) ->
         plan := cand :: !plan;
-        apply_insertion ~h:scratch ~sup ~unstable ~threshold cand;
+        apply_insertion ~h ~sup ~unstable ~threshold cand;
         (* The inserted edge must itself survive into the truss. *)
         add_target cand
     end
   done;
-  if !failed then None else Some (List.rev !plan)
+  (* [plan] doubles as the undo log. *)
+  List.iter
+    (fun key ->
+      let y, z = Edge_key.endpoints key in
+      ignore (Graph.remove_edge h y z))
+    !plan;
+  match !result with Some r -> r | None -> `Plan (List.rev !plan)
+
+(* Clique recruits: the local subgraph's nodes, their graph neighbors, and
+   — when the component sits in a sparse corner with too few of either —
+   arbitrary further graph nodes, so a k-clique can always be completed.
+   Sorted ascending. *)
+let clique_pool ~g ~h ~k =
+  let seen = Hashtbl.create 64 in
+  Graph.iter_nodes h (fun v -> Hashtbl.replace seen v ());
+  Graph.iter_nodes h (fun v -> Graph.iter_neighbors g v (fun w -> Hashtbl.replace seen w ()));
+  if Hashtbl.length seen < 2 * k then begin
+    try
+      Graph.iter_nodes g (fun v ->
+          if not (Hashtbl.mem seen v) then begin
+            Hashtbl.replace seen v ();
+            if Hashtbl.length seen >= 2 * k then raise Exit
+          end)
+    with Exit -> ()
+  end;
+  let pool = Array.make (Hashtbl.length seen) 0 in
+  let i = ref 0 in
+  Hashtbl.iter
+    (fun v () ->
+      pool.(!i) <- v;
+      incr i)
+    seen;
+  Array.sort Int.compare pool;
+  pool
+
+type covered = {
+  h : Graph.t;
+  sup : (Edge_key.t, int) Hashtbl.t;
+  unstable : (Edge_key.t, unit) Hashtbl.t;
+  inserted : Edge_key.t list;
+}
+
+let cover ~ctx ~target =
+  let g = ctx.Score.g in
+  let threshold = ctx.Score.k - 2 in
+  (* Determinism: the outcome must depend on the target as a set, not on
+     the order the caller enumerated it in. *)
+  let target = List.sort_uniq Edge_key.compare target in
+  let h =
+    Obs.Span.with_ "convert.build_h" @@ fun () ->
+    Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:target
+  in
+  Obs.Span.with_ "convert.greedy_cover" @@ fun () ->
+  let sup = csup ~h target in
+  let unstable = Hashtbl.create 16 in
+  Hashtbl.iter (fun key s -> if s < threshold then Hashtbl.replace unstable key ()) sup;
+  let inserted = greedy_cover ~g ~h ~sup ~unstable ~threshold in
+  { h; sup; unstable; inserted }
 
 let c_conversions = Obs.Counter.make "convert.conversions"
+let c_stragglers = Obs.Counter.make "convert.stragglers"
+let c_cascade_capped = Obs.Counter.make "convert.cascade_capped"
 
-let convert ~ctx ~target ?node_pool () =
+let convert ~ctx ~target () =
   Obs.Span.with_ "convert.convert" @@ fun () ->
   Obs.Counter.incr c_conversions;
   let g = ctx.Score.g and k = ctx.Score.k in
   let threshold = k - 2 in
-  (* Determinism: the outcome must depend on the target as a set, not on
-     the order the caller enumerated it in. *)
-  let target = List.sort_uniq Edge_key.compare target in
-  let h = Truss.Onion.build_h ~g ~backdrop:ctx.Score.old_truss ~candidates:target in
-  let node_pool =
-    match node_pool with
-    | Some p -> p
-    | None ->
-      (* Clique recruits: the local subgraph's nodes, their graph
-         neighbors, and — when the component sits in a sparse corner with
-         too few of either — arbitrary further graph nodes, so a k-clique
-         can always be completed. *)
-      let seen = Hashtbl.create 64 in
-      Graph.iter_nodes h (fun v -> Hashtbl.replace seen v ());
-      Graph.iter_nodes h (fun v ->
-          Graph.iter_neighbors g v (fun w -> Hashtbl.replace seen w ()));
-      if Hashtbl.length seen < 2 * k then begin
-        try
-          Graph.iter_nodes g (fun v ->
-              if not (Hashtbl.mem seen v) then begin
-                Hashtbl.replace seen v ();
-                if Hashtbl.length seen >= 2 * k then raise Exit
-              end)
-        with Exit -> ()
-      end;
-      Hashtbl.fold (fun v () acc -> v :: acc) seen []
-  in
-  let node_pool = List.sort_uniq Int.compare node_pool in
-  let sup = csup ~h target in
-  let unstable = Hashtbl.create 16 in
-  Hashtbl.iter (fun key s -> if s < threshold then Hashtbl.replace unstable key ()) sup;
-  let plan = ref (greedy_cover ~g ~h ~sup ~unstable ~threshold) in
+  let { h; sup; unstable; inserted } = cover ~ctx ~target in
+  let plan = ref inserted in
   let clique_fallbacks = ref 0 and greedy_fallbacks = ref 0 in
-  (* Stragglers: cheapest of the two strategies, applied one target at a
-     time (earlier fixes can stabilize later stragglers for free). *)
-  let stragglers = Hashtbl.fold (fun key () acc -> key :: acc) unstable [] in
-  List.iter
-    (fun key ->
-      if Hashtbl.mem unstable key then begin
-        let cascade = greedy_cascade ~g ~h ~k ~target_key:key in
-        let clique = clique_plan ~g ~h ~k ~node_pool key in
-        let chosen =
-          match (cascade, clique) with
-          | Some a, Some b -> if List.length a <= List.length b then (a, `Greedy) else (b, `Clique)
-          | Some a, None -> (a, `Greedy)
-          | None, Some b -> (b, `Clique)
-          | None, None -> ([], `Greedy)
-        in
-        match chosen with
-        | [], _ -> ()
-        | edges, which ->
-          (match which with
-          | `Greedy -> incr greedy_fallbacks
-          | `Clique -> incr clique_fallbacks);
-          List.iter
-            (fun cand ->
-              if not (Graph.mem_edge_key h cand) then begin
-                plan := cand :: !plan;
-                apply_insertion ~h ~sup ~unstable ~threshold cand
-              end)
-            edges
-      end)
-    (List.sort Edge_key.compare stragglers);
+  if Hashtbl.length unstable > 0 then begin
+    Obs.Span.with_ "convert.stragglers" @@ fun () ->
+    Obs.Counter.add c_stragglers (Hashtbl.length unstable);
+    let pool = clique_pool ~g ~h ~k in
+    (* Stragglers: cheapest of the two strategies, applied one target at a
+       time (earlier fixes can stabilize later stragglers for free).  The
+       clique plan goes first: a cascade longer than it would lose the
+       comparison, so its length caps the cascade (ties go to the
+       cascade). *)
+    let stragglers = Hashtbl.fold (fun key () acc -> key :: acc) unstable [] in
+    List.iter
+      (fun key ->
+        if Hashtbl.mem unstable key then begin
+          let clique = clique_plan ~g ~h ~k ~pool key in
+          let cap = match clique with Some b -> min (6 * k) (List.length b) | None -> 6 * k in
+          let chosen =
+            match (greedy_cascade ~g ~h ~k ~cap ~target_key:key, clique) with
+            | `Plan a, _ -> (a, `Greedy)
+            | `Capped, Some b when cap < 6 * k ->
+              Obs.Counter.incr c_cascade_capped;
+              (b, `Clique)
+            | (`Capped | `Stuck), Some b -> (b, `Clique)
+            | (`Capped | `Stuck), None -> ([], `Greedy)
+          in
+          match chosen with
+          | [], _ -> ()
+          | edges, which ->
+            (match which with
+            | `Greedy -> incr greedy_fallbacks
+            | `Clique -> incr clique_fallbacks);
+            List.iter
+              (fun cand ->
+                if not (Graph.mem_edge_key h cand) then begin
+                  plan := cand :: !plan;
+                  apply_insertion ~h ~sup ~unstable ~threshold cand
+                end)
+              edges
+        end)
+      (List.sort Edge_key.compare stragglers)
+  end;
   {
     plan = List.map Edge_key.endpoints (List.sort_uniq Edge_key.compare !plan);
     clique_fallbacks = !clique_fallbacks;

@@ -201,6 +201,160 @@ let oracle_max_min_cut ~n ~arcs ~s ~t =
   done;
   (!best, Array.init n (fun v -> !union land (1 lsl v) <> 0))
 
+(* Reference straggler phase of [Convert.convert] (Algorithm 2's
+   fallbacks), taken over [Convert.cover]'s state: for each straggler in
+   key order, run the cascading greedy to completion on a copy of H (at
+   most 6k insertions) and recruit the clique by rescanning the pool list,
+   keep the shorter plan (ties to the cascade), and insert it.  Returns the
+   outcome [convert] must reproduce. *)
+let oracle_convert ~ctx ~target =
+  let open Maxtruss in
+  let g = ctx.Score.g and k = ctx.Score.k in
+  let threshold = k - 2 in
+  let { Convert.h; sup; unstable; inserted } = Convert.cover ~ctx ~target in
+  let candidates_for ~h key =
+    let u, v = Edge_key.endpoints key in
+    let acc = ref [] in
+    let try_edge a b =
+      if a <> b && (not (Graph.mem_edge h a b)) && not (Graph.mem_edge g a b) then
+        acc := Edge_key.make a b :: !acc
+    in
+    Graph.iter_neighbors h v (fun w -> if w <> u then try_edge u w);
+    Graph.iter_neighbors h u (fun w -> if w <> v then try_edge v w);
+    !acc
+  in
+  let coverage ~h ~unstable key =
+    let y, z = Edge_key.endpoints key in
+    let c = ref 0 in
+    Graph.iter_common_neighbors h y z (fun x ->
+        if Hashtbl.mem unstable (Edge_key.make x y) then incr c;
+        if Hashtbl.mem unstable (Edge_key.make x z) then incr c);
+    !c
+  in
+  let apply_insertion ~h ~sup ~unstable key =
+    let y, z = Edge_key.endpoints key in
+    ignore (Graph.add_edge h y z);
+    Graph.iter_common_neighbors h y z (fun x ->
+        List.iter
+          (fun e ->
+            match Hashtbl.find_opt sup e with
+            | Some s ->
+              Hashtbl.replace sup e (s + 1);
+              if s + 1 >= threshold then Hashtbl.remove unstable e
+            | None -> ())
+          [ Edge_key.make x y; Edge_key.make x z ])
+  in
+  let cascade key =
+    let h = Graph.copy h in
+    let sup = Hashtbl.create 16 and unstable = Hashtbl.create 16 in
+    let add_target key =
+      let u, v = Edge_key.endpoints key in
+      let s = Graph.count_common_neighbors h u v in
+      Hashtbl.replace sup key s;
+      if s < threshold then Hashtbl.replace unstable key ()
+    in
+    add_target key;
+    let rec step plan =
+      if Hashtbl.length unstable = 0 then Some (List.rev plan)
+      else if List.length plan >= 6 * k then None
+      else begin
+        let best = ref None in
+        Hashtbl.iter
+          (fun t () ->
+            List.iter
+              (fun cand ->
+                let cov = coverage ~h ~unstable cand in
+                if cov > 0 then
+                  match !best with
+                  | Some (bc, bk) when bc > cov || (bc = cov && Edge_key.compare bk cand <= 0) -> ()
+                  | _ -> best := Some (cov, cand))
+              (candidates_for ~h t))
+          unstable;
+        match !best with
+        | None -> None
+        | Some (_, cand) ->
+          apply_insertion ~h ~sup ~unstable cand;
+          add_target cand;
+          step (cand :: plan)
+      end
+    in
+    step []
+  in
+  let pool =
+    let seen = Hashtbl.create 64 in
+    Graph.iter_nodes h (fun v -> Hashtbl.replace seen v ());
+    Graph.iter_nodes h (fun v -> Graph.iter_neighbors g v (fun w -> Hashtbl.replace seen w ()));
+    if Hashtbl.length seen < 2 * k then begin
+      try
+        Graph.iter_nodes g (fun v ->
+            if not (Hashtbl.mem seen v) then begin
+              Hashtbl.replace seen v ();
+              if Hashtbl.length seen >= 2 * k then raise Exit
+            end)
+      with Exit -> ()
+    end;
+    List.sort_uniq Int.compare (Hashtbl.fold (fun v () acc -> v :: acc) seen [])
+  in
+  let clique key =
+    let u, v = Edge_key.endpoints key in
+    let adjacency chosen w = List.length (List.filter (fun x -> Graph.mem_edge h x w) chosen) in
+    let rec recruit chosen available n =
+      if n = 0 || available = [] then chosen
+      else begin
+        (* the first of the available nodes with the most chosen neighbours *)
+        let best =
+          List.fold_left
+            (fun bw w -> if adjacency chosen w > adjacency chosen bw then w else bw)
+            (List.hd available) available
+        in
+        recruit (best :: chosen) (List.filter (( <> ) best) available) (n - 1)
+      end
+    in
+    let chosen = recruit [ u; v ] (List.filter (fun w -> w <> u && w <> v) pool) (k - 2) in
+    if List.length chosen < k then None
+    else
+      Some
+        (List.concat_map
+           (fun x ->
+             List.filter_map
+               (fun y ->
+                 if x < y && (not (Graph.mem_edge h x y)) && not (Graph.mem_edge g x y) then
+                   Some (Edge_key.make x y)
+                 else None)
+               chosen)
+           chosen
+        |> List.sort_uniq Edge_key.compare)
+  in
+  let plan = ref inserted and clique_fallbacks = ref 0 and greedy_fallbacks = ref 0 in
+  List.iter
+    (fun key ->
+      if Hashtbl.mem unstable key then begin
+        let chosen =
+          match (cascade key, clique key) with
+          | Some a, Some b when List.length a <= List.length b -> (a, greedy_fallbacks)
+          | Some a, None -> (a, greedy_fallbacks)
+          | _, Some b -> (b, clique_fallbacks)
+          | None, None -> ([], greedy_fallbacks)
+        in
+        match chosen with
+        | [], _ -> ()
+        | edges, counter ->
+          incr counter;
+          List.iter
+            (fun cand ->
+              if not (Graph.mem_edge_key h cand) then begin
+                plan := cand :: !plan;
+                apply_insertion ~h ~sup ~unstable cand
+              end)
+            edges
+      end)
+    (Hashtbl.fold (fun key () acc -> key :: acc) unstable [] |> List.sort Edge_key.compare);
+  {
+    Convert.plan = List.map Edge_key.endpoints (List.sort_uniq Edge_key.compare !plan);
+    clique_fallbacks = !clique_fallbacks;
+    greedy_fallbacks = !greedy_fallbacks;
+  }
+
 let sorted_keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] |> List.sort compare
 
 (* Substring membership, for asserting on rendered response lines. *)

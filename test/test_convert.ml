@@ -98,6 +98,49 @@ let prop_plan_edges_absent =
           List.for_all (fun (u, v) -> not (Graph.mem_edge g u v)) conv.Convert.plan)
         comps)
 
+(* The pruned straggler phase (clique plan first, cascade capped by its
+   length, recruit counts kept incrementally, trial edges undone on H)
+   returns exactly what the reference procedure returns. *)
+let oracle_fallbacks = ref (0, 0)
+
+let prop_matches_oracle =
+  let print_outcome o =
+    Printf.sprintf "plan=[%s] clique=%d greedy=%d"
+      (String.concat "; " (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) o.Convert.plan))
+      o.Convert.clique_fallbacks o.Convert.greedy_fallbacks
+  in
+  QCheck2.Test.make ~name:"convert matches the straggler oracle" ~count:200
+    ~print:(fun (k, edges) ->
+      Printf.sprintf "k=%d edges=[%s]" k
+        (String.concat "; " (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) edges)))
+    QCheck2.Gen.(pair (int_range 5 6) (Helpers.random_graph_gen ~max_n:16 ()))
+    (fun (k, edges) ->
+      let g = Graph.of_edges edges in
+      let dec = Truss.Decompose.run g in
+      let ctx = Score.make_ctx ~dec g ~k in
+      List.for_all
+        (fun comp ->
+          let got = Convert.convert ~ctx ~target:comp () in
+          let want = Helpers.oracle_convert ~ctx ~target:comp in
+          let c, gr = !oracle_fallbacks in
+          oracle_fallbacks := (c + want.Convert.clique_fallbacks, gr + want.Convert.greedy_fallbacks);
+          got = want
+          || QCheck2.Test.fail_reportf "convert: %s\noracle: %s" (print_outcome got) (print_outcome want))
+        (Truss.Connectivity.components ~g ~dec ~lo:2 ~hi:k))
+
+(* The property must see both fallback kinds, or it checks nothing. *)
+let oracle_test =
+  let name, speed, run = Helpers.qtest prop_matches_oracle in
+  ( name,
+    speed,
+    fun () ->
+      oracle_fallbacks := (0, 0);
+      run ();
+      let c, gr = !oracle_fallbacks in
+      Printf.printf "clique fallbacks %d, greedy fallbacks %d\n" c gr;
+      Alcotest.(check bool) "clique fallbacks occurred" true (c > 0);
+      Alcotest.(check bool) "greedy fallbacks occurred" true (gr > 0) )
+
 let suite =
   [
     Alcotest.test_case "fig1 full component" `Quick test_fig1_full_component;
@@ -108,4 +151,5 @@ let suite =
     Alcotest.test_case "clique fallback" `Quick test_clique_fallback_for_isolated;
     Helpers.qtest prop_conversion_always_verifies;
     Helpers.qtest prop_plan_edges_absent;
+    oracle_test;
   ]

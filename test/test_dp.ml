@@ -72,6 +72,30 @@ let revenue_gen =
     let* budget = int_range 0 12 in
     return (Array.of_list menus, budget))
 
+(* Components with a cheap low plan and a dear high one, and a budget one
+   upgrade short of taking every dear plan.  The optimum then often takes
+   one component's cheap plan; Sorted DP keeps one solution per cell, and a
+   cell that already spent that component on its dear plan blocks it, so
+   Sorted misses the optimum on ~2% of these instances.  Random menus
+   rarely show this, with more components than budget or not. *)
+let blocking_revenue_gen =
+  QCheck2.Gen.(
+    let* menus =
+      list_size (int_range 4 6)
+        (triple (int_range 1 3) (int_range 2 3) (int_range 8 12))
+    in
+    let* short = int_range 0 (List.length menus - 1) in
+    let budget =
+      List.fold_left (fun acc (_, dear, _) -> acc + dear) 0 menus
+      - (let _, dear, _ = List.nth menus short in dear - 1)
+    in
+    return
+      ( Array.of_list
+          (List.map (fun (low, dear, high) -> Plan.normalize [ mk_pair 1 low; mk_pair dear high ]) menus),
+        budget ))
+
+let exact_gen = QCheck2.Gen.oneof [ revenue_gen; blocking_revenue_gen ]
+
 let print_instance (revenues, budget) =
   Format.asprintf "budget %d, menus %a" budget
     (Format.pp_print_array ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Plan.pp)
@@ -80,16 +104,16 @@ let print_instance (revenues, budget) =
 (* The production entry point is exact at every budget, below the
    component count included. *)
 let prop_solve_optimal =
-  QCheck2.Test.make ~name:"Dp.solve matches brute force" ~count:300
-    ~print:print_instance revenue_gen
+  QCheck2.Test.make ~name:"Dp.solve matches brute force" ~count:600
+    ~print:print_instance exact_gen
     (fun (revenues, budget) ->
       let alloc = Dp.solve ~revenues ~budget in
       Dp.feasible ~revenues ~budget alloc
       && alloc.Dp.total_score = (Dp.brute_force ~revenues ~budget).Dp.total_score)
 
 let prop_sequential_optimal =
-  QCheck2.Test.make ~name:"sequential DP matches brute force" ~count:300
-    ~print:print_instance revenue_gen
+  QCheck2.Test.make ~name:"sequential DP matches brute force" ~count:600
+    ~print:print_instance exact_gen
     (fun (revenues, budget) ->
       (Dp.sequential ~revenues ~budget).Dp.total_score
       = (Dp.brute_force ~revenues ~budget).Dp.total_score)
